@@ -18,7 +18,8 @@
 // present in the baseline regresses beyond the tolerance: ns/op grew by
 // more than tolerance×baseline, or allocs/op grew by more than
 // tolerance×baseline plus one (the absolute slack keeps 0→1 alloc churn
-// from tripping a percentage-only gate). Benchmarks that exist only in the
+// from tripping a percentage-only gate) — or grew at all, for baseline
+// entries marked "allocs_exact": true. Benchmarks that exist only in the
 // current file are reported as new but never gated; benchmarks missing
 // from the current file fail the gate unless -allow-missing is set.
 package main
@@ -44,6 +45,10 @@ type Result struct {
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	Runs        int     `json:"runs"`
+	// AllocsExact, set by hand on a baseline entry, gates allocs/op with
+	// no slack: any increase fails. It suits benchmarks whose allocation
+	// count is deterministic.
+	AllocsExact bool `json:"allocs_exact,omitempty"`
 }
 
 // File is the on-disk schema produced by parse and consumed by compare.
@@ -330,8 +335,13 @@ func Compare(base, cur File, tolerance float64, allowMissing bool) (string, bool
 			fmt.Fprintf(&b, ", %.3g -> %.3g rows/s", bl.RowsPerSec, cl.RowsPerSec)
 		}
 		// Allocation gate: percentage tolerance plus one alloc of absolute
-		// slack, so 0->1 churn on an otherwise-clean kernel is not fatal.
-		if cl.AllocsPerOp > bl.AllocsPerOp*(1+tolerance)+1 {
+		// slack, so 0->1 churn on an otherwise-clean kernel is not fatal;
+		// none at all for entries marked allocs_exact.
+		allocLimit := bl.AllocsPerOp*(1+tolerance) + 1
+		if bl.AllocsExact {
+			allocLimit = bl.AllocsPerOp
+		}
+		if cl.AllocsPerOp > allocLimit {
 			fmt.Fprintf(&b, ", allocs/op %v -> %v FAIL", bl.AllocsPerOp, cl.AllocsPerOp)
 			failed = true
 		} else if cl.AllocsPerOp != bl.AllocsPerOp {

@@ -150,6 +150,19 @@ func TestCompareAllocGate(t *testing.T) {
 	}
 }
 
+func TestCompareAllocsExact(t *testing.T) {
+	base := mkFile(map[string]Result{"a.BenchmarkX": {NsPerOp: 1000, AllocsPerOp: 28, Runs: 5, AllocsExact: true}})
+	for _, tc := range []struct {
+		allocs float64
+		fail   bool
+	}{{28, false}, {20, false}, {29, true}} {
+		cur := mkFile(map[string]Result{"a.BenchmarkX": {NsPerOp: 1000, AllocsPerOp: tc.allocs, Runs: 5}})
+		if report, failed := Compare(base, cur, 0.25, false); failed != tc.fail {
+			t.Errorf("28 -> %v allocs under allocs_exact: failed=%v, want %v\n%s", tc.allocs, failed, tc.fail, report)
+		}
+	}
+}
+
 func TestCompareMissingBenchmark(t *testing.T) {
 	base := mkFile(map[string]Result{"a.BenchmarkX": {NsPerOp: 1000, Runs: 5}})
 	cur := mkFile(map[string]Result{"a.BenchmarkY": {NsPerOp: 1000, Runs: 5}})

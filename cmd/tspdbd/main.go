@@ -87,7 +87,7 @@ func main() {
 	restore := flag.String("restore", "", "load a catalog snapshot before serving")
 	snapshot := flag.String("snapshot", "", "path POST /snapshot persists the catalog to")
 	snapOnExit := flag.Bool("snapshot-on-exit", false, "write a snapshot on graceful shutdown (requires -snapshot)")
-	parallel := flag.Int("parallel", 0, "view-generation and read-kernel workers (0 = all cores, 1 = sequential)")
+	parallel := flag.Int("parallel", 0, "CREATE VIEW (model fits and view generation) and read-kernel workers (0 = all cores, 1 = sequential)")
 	maxBuilds := flag.Int("max-builds", 2, "concurrent CREATE VIEW materialisations")
 	maxBatch := flag.Int("max-batch", 10000, "max points per ingest request")
 	grace := flag.Duration("grace", 10*time.Second, "graceful-shutdown timeout")

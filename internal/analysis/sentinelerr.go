@@ -14,6 +14,7 @@ import (
 // layout under their own module path.)
 var DefaultSentinelScope = []string{
 	"internal/core", "internal/query", "internal/storage", "internal/durable",
+	"internal/timeseries",
 }
 
 // SentinelErr returns the sentinelerr analyzer. Two invariants:

@@ -51,8 +51,9 @@ var (
 
 // Config tunes an Engine.
 type Config struct {
-	// Parallelism is the worker count for offline Omega-view generation and
-	// for the chunked read kernels behind EXPECTED, PROB and COUNT:
+	// Parallelism is the worker count for offline view builds (the
+	// per-window model fits and the Omega-view generation) and for the
+	// chunked read kernels behind EXPECTED, PROB and COUNT:
 	// 1 runs sequentially, 0 selects GOMAXPROCS. Results are identical at
 	// every setting; only wall-clock time changes.
 	Parallelism int

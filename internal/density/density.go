@@ -290,11 +290,13 @@ func (m *KalmanGARCH) Infer(window []float64) (*Inference, error) {
 		// (Section VII-A); keep that behaviour by default.
 		em = &kalman.EMSettings{MaxIter: 500, Tol: 1e-12}
 	}
-	rhat, km, err := kalman.FitForecast(window, em)
+	km, _, err := kalman.FitEM(window, em)
 	if err != nil {
 		return nil, err
 	}
-	resid, err := km.Residuals(window)
+	// One filter pass of the fitted model yields both the forecast and the
+	// innovations.
+	rhat, resid, err := km.ForecastResiduals(window)
 	if err != nil {
 		return nil, err
 	}

@@ -39,7 +39,7 @@ func fig14Tuples(s Scale, n int) ([]view.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	tuples, err := view.TuplesFromSeries(campus, metric, h, int64(h+1), int64(h+n))
+	tuples, err := view.TuplesFromSeries(campus, metric, h, int64(h+1), int64(h+n), 1)
 	if err != nil {
 		return nil, err
 	}

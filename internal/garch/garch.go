@@ -120,14 +120,17 @@ func Fit(a []float64, m, s int, settings *FitSettings) (*Model, error) {
 
 	// Unconstrained parameterisation: theta = [log alpha0, log alpha_1..m,
 	// log beta_1..s]. Stationarity is enforced with a barrier inside the
-	// objective; non-negativity is automatic.
+	// objective; non-negativity is automatic. The objective decodes into one
+	// Model and filters into one variance buffer, both reused across every
+	// evaluation, so the optimiser's iterations allocate nothing.
+	model := &Model{M: m, S: s, Alpha: make([]float64, m), Beta: make([]float64, s)}
+	sigma2 := make([]float64, n)
 	nll := func(theta []float64) float64 {
-		model := decode(theta, m, s)
+		model.decode(theta)
 		if model.Persistence() >= cfg.MaxPersistence {
 			return math.Inf(1)
 		}
-		ll := model.logLikelihood(a, v)
-		return -ll
+		return -model.logLikelihood(a, v, sigma2)
 	}
 
 	// Variance targeting start: alpha ~ 0.10 total, beta ~ 0.80 total,
@@ -162,36 +165,38 @@ func Fit(a []float64, m, s int, settings *FitSettings) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := decode(res.X, m, s)
+	model.decode(res.X)
 	model.LogL = -res.F
 	if math.IsInf(res.F, 1) {
 		// The optimiser never found a stationary point: fall back to a mild
 		// default that is always valid. (Extremely rare; requires an
 		// adversarial window.)
-		model = &Model{M: m, S: s, Alpha0: v * 0.2, Alpha: fill(m, 0.05), Beta: fill(s, 0.7/float64(maxInt(s, 1)))}
-		model.LogL = model.logLikelihood(a, v)
+		model.Alpha0 = v * 0.2
+		fill(model.Alpha, 0.05)
+		fill(model.Beta, 0.7/float64(maxInt(s, 1)))
+		model.LogL = model.logLikelihood(a, v, sigma2)
 	}
 	return model, nil
 }
 
-func decode(theta []float64, m, s int) *Model {
-	g := &Model{M: m, S: s, Alpha: make([]float64, m), Beta: make([]float64, s)}
+// decode sets the model's coefficients from the unconstrained parameter
+// vector theta = [log alpha0, log alpha_1..m, log beta_1..s].
+//
+//tspdb:kernel
+func (g *Model) decode(theta []float64) {
 	g.Alpha0 = math.Exp(theta[0])
-	for j := 0; j < m; j++ {
+	for j := range g.Alpha {
 		g.Alpha[j] = math.Exp(theta[1+j])
 	}
-	for j := 0; j < s; j++ {
-		g.Beta[j] = math.Exp(theta[1+m+j])
+	for j := range g.Beta {
+		g.Beta[j] = math.Exp(theta[1+g.M+j])
 	}
-	return g
 }
 
-func fill(n int, v float64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = v
+func fill(xs []float64, v float64) {
+	for i := range xs {
+		xs[i] = v
 	}
-	return out
 }
 
 func boolTo01(b bool) float64 {
@@ -201,10 +206,17 @@ func boolTo01(b bool) float64 {
 	return 0
 }
 
+// log2Pi is log(2*pi), the constant term of every Gaussian log-density
+// (the same float64 the per-term math.Log call produced).
+var log2Pi = math.Log(2 * math.Pi)
+
 // logLikelihood computes the Gaussian conditional log-likelihood over a,
 // seeding the variance recursion with seed (typically the sample variance).
-func (g *Model) logLikelihood(a []float64, seed float64) float64 {
-	sigma2 := g.filter(a, seed)
+// sigma2 (length len(a)) receives the conditional variance path.
+//
+//tspdb:kernel
+func (g *Model) logLikelihood(a []float64, seed float64, sigma2 []float64) float64 {
+	g.filterInto(a, seed, sigma2)
 	k := maxInt(g.M, g.S)
 	ll := 0.0
 	for i := k; i < len(a); i++ {
@@ -212,18 +224,19 @@ func (g *Model) logLikelihood(a []float64, seed float64) float64 {
 		if s2 <= 0 || math.IsNaN(s2) {
 			return math.Inf(-1)
 		}
-		ll += -0.5 * (math.Log(2*math.Pi) + math.Log(s2) + a[i]*a[i]/s2)
+		ll += -0.5 * (log2Pi + math.Log(s2) + a[i]*a[i]/s2)
 	}
 	return ll
 }
 
-// filter runs the variance recursion (Eq. 5) over the full innovation
-// sequence, returning sigma^2_i for every index. Warm-up entries
-// (i < max(m,s)) are set to seed.
-func (g *Model) filter(a []float64, seed float64) []float64 {
+// filterInto runs the variance recursion (Eq. 5) over the full innovation
+// sequence, writing sigma^2_i for every index into sigma2 (length len(a)).
+// Warm-up entries (i < max(m,s)) are set to seed.
+//
+//tspdb:kernel
+func (g *Model) filterInto(a []float64, seed float64, sigma2 []float64) {
 	n := len(a)
 	k := maxInt(g.M, g.S)
-	sigma2 := make([]float64, n)
 	for i := 0; i < k && i < n; i++ {
 		sigma2[i] = seed
 	}
@@ -237,6 +250,12 @@ func (g *Model) filter(a []float64, seed float64) []float64 {
 		}
 		sigma2[i] = s2
 	}
+}
+
+// filter is filterInto with a fresh result slice.
+func (g *Model) filter(a []float64, seed float64) []float64 {
+	sigma2 := make([]float64, len(a))
+	g.filterInto(a, seed, sigma2)
 	return sigma2
 }
 

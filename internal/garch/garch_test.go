@@ -185,8 +185,8 @@ func TestLikelihoodImprovesOverStart(t *testing.T) {
 	}
 	// A deliberately bad model must have lower likelihood.
 	bad := &Model{M: 1, S: 1, Alpha0: 10, Alpha: []float64{0.01}, Beta: []float64{0.01}}
-	if bad.logLikelihood(a, 1) >= g.LogL {
-		t.Errorf("fit LL %v not better than bad LL %v", g.LogL, bad.logLikelihood(a, 1))
+	if ll := bad.logLikelihood(a, 1, make([]float64, len(a))); ll >= g.LogL {
+		t.Errorf("fit LL %v not better than bad LL %v", g.LogL, ll)
 	}
 }
 

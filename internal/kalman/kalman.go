@@ -51,24 +51,52 @@ type FilterResult struct {
 	LogL      float64   // innovation-form log-likelihood
 }
 
+// log2Pi is log(2*pi), the constant term of every Gaussian log-density
+// (the same float64 the per-step math.Log call produced).
+var log2Pi = math.Log(2 * math.Pi)
+
+// newFilterResult allocates a FilterResult for n observations.
+func newFilterResult(n int) *FilterResult {
+	buf := make([]float64, 5*n)
+	return &FilterResult{
+		PredState: buf[0*n : 1*n : 1*n],
+		PredVar:   buf[1*n : 2*n : 2*n],
+		State:     buf[2*n : 3*n : 3*n],
+		Var:       buf[3*n : 4*n : 4*n],
+		Gain:      buf[4*n : 5*n : 5*n],
+	}
+}
+
 // Filter runs the forward Kalman recursion over observations r.
 func (m *Model) Filter(r []float64) (*FilterResult, error) {
-	n := len(r)
-	if n == 0 {
+	if len(r) == 0 {
 		return nil, ErrShortInput
 	}
+	if err := m.check(); err != nil {
+		return nil, err
+	}
+	res := newFilterResult(len(r))
+	m.filterInto(r, res)
+	return res, nil
+}
+
+// check validates the noise variances the recursions divide by.
+func (m *Model) check() error {
 	if m.Sigma2E < 0 || m.Sigma2Eta <= 0 || m.P0 < 0 {
-		return nil, ErrBadArg
+		return ErrBadArg
 	}
-	res := &FilterResult{
-		PredState: make([]float64, n),
-		PredVar:   make([]float64, n),
-		State:     make([]float64, n),
-		Var:       make([]float64, n),
-		Gain:      make([]float64, n),
-	}
+	return nil
+}
+
+// filterInto runs the forward recursion over r (non-empty, with a model
+// that passed check), overwriting every field of res, whose slices have
+// length len(r).
+//
+//tspdb:kernel
+func (m *Model) filterInto(r []float64, res *FilterResult) {
+	res.LogL = 0
 	xPrev, pPrev := m.X0, m.P0
-	for i := 0; i < n; i++ {
+	for i := range r {
 		// Predict.
 		xp := m.C1 * xPrev
 		pp := m.C1*m.C1*pPrev + m.Sigma2E
@@ -89,11 +117,10 @@ func (m *Model) Filter(r []float64) (*FilterResult, error) {
 		res.State[i] = x
 		res.Var[i] = p
 		res.Gain[i] = k
-		res.LogL += -0.5 * (math.Log(2*math.Pi) + math.Log(f) + v*v/f)
+		res.LogL += -0.5 * (log2Pi + math.Log(f) + v*v/f)
 
 		xPrev, pPrev = x, p
 	}
-	return res, nil
 }
 
 // SmoothResult holds the Rauch-Tung-Striebel smoother outputs.
@@ -103,6 +130,16 @@ type SmoothResult struct {
 	LagCov []float64 // P_{i,i-1|n} (lag-one covariance, needed by EM); index 0 unused
 }
 
+// newSmoothResult allocates a SmoothResult for n observations.
+func newSmoothResult(n int) *SmoothResult {
+	buf := make([]float64, 3*n)
+	return &SmoothResult{
+		State:  buf[0*n : 1*n : 1*n],
+		Var:    buf[1*n : 2*n : 2*n],
+		LagCov: buf[2*n : 3*n : 3*n],
+	}
+}
+
 // Smooth runs the RTS backward pass (plus lag-one covariance smoother) over a
 // forward filter result.
 func (m *Model) Smooth(r []float64, f *FilterResult) (*SmoothResult, error) {
@@ -110,19 +147,28 @@ func (m *Model) Smooth(r []float64, f *FilterResult) (*SmoothResult, error) {
 	if n == 0 || len(f.State) != n {
 		return nil, ErrBadArg
 	}
-	s := &SmoothResult{
-		State:  make([]float64, n),
-		Var:    make([]float64, n),
-		LagCov: make([]float64, n),
+	s := newSmoothResult(n)
+	if !m.smoothInto(f, s, make([]float64, n)) {
+		return nil, ErrBadArg
 	}
+	return s, nil
+}
+
+// smoothInto runs the backward pass over the filter result f (length n >=
+// 1) into s, using js (length n) for the smoother gains. It reports false
+// when a predicted variance is not positive, leaving s partly written.
+// Entry 0 of s.LagCov is left as it was; nothing reads it.
+//
+//tspdb:kernel
+func (m *Model) smoothInto(f *FilterResult, s *SmoothResult, js []float64) bool {
+	n := len(f.State)
 	s.State[n-1] = f.State[n-1]
 	s.Var[n-1] = f.Var[n-1]
 
 	// Smoother gains J_i = P_{i|i} c1 / P_{i+1|i}.
-	js := make([]float64, n)
 	for i := n - 2; i >= 0; i-- {
 		if f.PredVar[i+1] <= 0 {
-			return nil, ErrBadArg
+			return false
 		}
 		j := f.Var[i] * m.C1 / f.PredVar[i+1]
 		js[i] = j
@@ -137,7 +183,7 @@ func (m *Model) Smooth(r []float64, f *FilterResult) (*SmoothResult, error) {
 			s.LagCov[i] = f.Var[i]*js[i-1] + js[i]*(s.LagCov[i+1]-m.C1*f.Var[i])*js[i-1]
 		}
 	}
-	return s, nil
+	return true
 }
 
 // EMSettings tunes the EM estimation loop.
@@ -188,16 +234,18 @@ func FitEM(r []float64, settings *EMSettings) (*Model, int, error) {
 		P0:        v,
 	}
 
+	// One filter result, one smoother result and one gain buffer serve
+	// every EM iteration.
+	f, s, js := newFilterResult(n), newSmoothResult(n), make([]float64, n)
 	prevLL := math.Inf(-1)
 	iters := 0
 	for ; iters < cfg.MaxIter; iters++ {
-		f, err := m.Filter(r)
-		if err != nil {
+		if err := m.check(); err != nil {
 			return nil, iters, err
 		}
-		s, err := m.Smooth(r, f)
-		if err != nil {
-			return nil, iters, err
+		m.filterInto(r, f)
+		if !m.smoothInto(f, s, js) {
+			return nil, iters, ErrBadArg
 		}
 
 		// E-step sufficient statistics.
@@ -246,10 +294,17 @@ func (m *Model) Forecast(r []float64) (rhat, predVar float64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	n := len(r)
+	rhat, predVar = m.forecastFrom(f)
+	return rhat, predVar, nil
+}
+
+// forecastFrom reads the one-step forecast and its variance off a filter
+// pass over the window.
+func (m *Model) forecastFrom(f *FilterResult) (rhat, predVar float64) {
+	n := len(f.State)
 	xp := m.C1 * f.State[n-1]
 	pp := m.C1*m.C1*f.Var[n-1] + m.Sigma2E
-	return m.C2 * xp, m.C2*m.C2*pp + m.Sigma2Eta, nil
+	return m.C2 * xp, m.C2*m.C2*pp + m.Sigma2Eta
 }
 
 // FitForecast runs EM estimation on the window and returns the one-step
@@ -266,17 +321,19 @@ func FitForecast(r []float64, settings *EMSettings) (rhat float64, model *Model,
 	return rhat, model, nil
 }
 
-// Residuals returns a_i = r_i - r̂_i where r̂_i is the one-step-ahead
-// prediction c2 * x_{i|i-1}; these are the innovations consumed by the GARCH
-// stage of the Kalman-GARCH metric.
-func (m *Model) Residuals(r []float64) ([]float64, error) {
+// ForecastResiduals returns, from one filter pass over r, Forecast's
+// one-step-ahead r̂_t and the innovations a_i = r_i - r̂_i, where r̂_i is
+// the prediction c2 * x_{i|i-1}. The Kalman-GARCH metric forecasts with the
+// first and feeds the second to its GARCH stage.
+func (m *Model) ForecastResiduals(r []float64) (rhat float64, resid []float64, err error) {
 	f, err := m.Filter(r)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	out := make([]float64, len(r))
+	resid = make([]float64, len(r))
 	for i := range r {
-		out[i] = r[i] - m.C2*f.PredState[i]
+		resid[i] = r[i] - m.C2*f.PredState[i]
 	}
-	return out, nil
+	rhat, _ = m.forecastFrom(f)
+	return rhat, resid, nil
 }

@@ -218,9 +218,12 @@ func TestResidualsCentered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Residuals(obs)
+	rhat, res, err := m.ForecastResiduals(obs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want, _, _ := m.Forecast(obs); rhat != want {
+		t.Errorf("ForecastResiduals forecast %v, Forecast %v", rhat, want)
 	}
 	if len(res) != len(obs) {
 		t.Fatalf("residual length %d", len(res))

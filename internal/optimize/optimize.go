@@ -8,7 +8,6 @@ package optimize
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // Errors reported by the optimisers.
@@ -81,10 +80,8 @@ func NelderMead(f Objective, x0 []float64, settings *NelderMeadSettings) (*Resul
 	n := len(x0)
 
 	// Build the initial simplex.
-	verts := make([][]float64, n+1)
-	fvals := make([]float64, n+1)
-	for i := range verts {
-		v := make([]float64, n)
+	sx := newSimplex(n)
+	for i, v := range sx.verts {
 		copy(v, x0)
 		if i > 0 {
 			j := i - 1
@@ -94,116 +91,170 @@ func NelderMead(f Objective, x0 []float64, settings *NelderMeadSettings) (*Resul
 				v[j] = cfg.Step * 0.0025
 			}
 		}
-		verts[i] = v
-		fvals[i] = safeEval(f, v)
-	}
-
-	order := make([]int, n+1)
-	centroid := make([]float64, n)
-	trial := make([]float64, n)
-
-	sortSimplex := func() {
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool { return fvals[order[a]] < fvals[order[b]] })
+		sx.fvals[i] = safeEval(f, v)
 	}
 
 	var iters int
 	converged := false
 	for iters = 0; iters < cfg.MaxIter; iters++ {
-		sortSimplex()
-		best, worst := order[0], order[n]
-
-		// Convergence checks on the ordered simplex.
-		if math.Abs(fvals[worst]-fvals[best]) <= cfg.TolF {
-			diam := 0.0
-			for _, idx := range order[1:] {
-				for j := 0; j < n; j++ {
-					d := math.Abs(verts[idx][j] - verts[best][j])
-					if d > diam {
-						diam = d
-					}
-				}
-			}
-			if diam <= cfg.TolX {
-				converged = true
-				break
-			}
+		sx.sort()
+		if sx.converged(cfg.TolF, cfg.TolX) {
+			converged = true
+			break
 		}
+		sx.step(f)
+	}
 
-		// Centroid of all but the worst vertex.
+	sx.sort()
+	best := sx.order[0]
+	out := make([]float64, n)
+	copy(out, sx.verts[best])
+	return &Result{X: out, F: sx.fvals[best], Iters: iters, Converged: converged}, nil
+}
+
+// simplex is the Nelder-Mead working state: the n+1 vertices, their
+// objective values, the vertex order and the scratch points. NelderMead
+// allocates it once, so the iterations allocate nothing.
+type simplex struct {
+	verts                          [][]float64
+	fvals                          []float64
+	order                          []int
+	centroid, trial, expand, contr []float64
+}
+
+func newSimplex(n int) *simplex {
+	flat := make([]float64, (n+1)*n+4*n)
+	sx := &simplex{
+		verts: make([][]float64, n+1),
+		fvals: make([]float64, n+1),
+		order: make([]int, n+1),
+	}
+	for i := range sx.verts {
+		sx.verts[i] = flat[i*n : (i+1)*n : (i+1)*n]
+	}
+	scratch := flat[(n+1)*n:]
+	sx.centroid = scratch[0:n:n]
+	sx.trial = scratch[n : 2*n : 2*n]
+	sx.expand = scratch[2*n : 3*n : 3*n]
+	sx.contr = scratch[3*n : 4*n : 4*n]
+	return sx
+}
+
+// sort orders the vertices by objective value, starting from the identity
+// order. It is the insertion sort that sort.Slice runs on up to 12
+// elements, so for up to 11 dimensions it orders tied vertices exactly as
+// sort.Slice did.
+//
+//tspdb:kernel
+func (sx *simplex) sort() {
+	order, fvals := sx.order, sx.fvals
+	for i := range order {
+		order[i] = i
+	}
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && fvals[order[j]] < fvals[order[j-1]]; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+}
+
+// converged reports whether the sorted simplex has met both tolerances:
+// function-value spread within tolF and diameter within tolX.
+//
+//tspdb:kernel
+func (sx *simplex) converged(tolF, tolX float64) bool {
+	n := len(sx.centroid)
+	best, worst := sx.order[0], sx.order[n]
+	if math.Abs(sx.fvals[worst]-sx.fvals[best]) > tolF {
+		return false
+	}
+	diam := 0.0
+	for _, idx := range sx.order[1:] {
 		for j := 0; j < n; j++ {
-			centroid[j] = 0
-		}
-		for _, idx := range order[:n] {
-			for j := 0; j < n; j++ {
-				centroid[j] += verts[idx][j]
-			}
-		}
-		for j := 0; j < n; j++ {
-			centroid[j] /= float64(n)
-		}
-
-		// Reflection.
-		for j := 0; j < n; j++ {
-			trial[j] = centroid[j] + (centroid[j] - verts[worst][j])
-		}
-		fr := safeEval(f, trial)
-
-		switch {
-		case fr < fvals[order[0]]:
-			// Expansion.
-			exp := make([]float64, n)
-			for j := 0; j < n; j++ {
-				exp[j] = centroid[j] + 2*(centroid[j]-verts[worst][j])
-			}
-			fe := safeEval(f, exp)
-			if fe < fr {
-				copy(verts[worst], exp)
-				fvals[worst] = fe
-			} else {
-				copy(verts[worst], trial)
-				fvals[worst] = fr
-			}
-		case fr < fvals[order[n-1]]:
-			// Accept reflection.
-			copy(verts[worst], trial)
-			fvals[worst] = fr
-		default:
-			// Contraction (outside if the reflected point improved on the
-			// worst vertex, inside otherwise).
-			con := make([]float64, n)
-			if fr < fvals[worst] {
-				for j := 0; j < n; j++ {
-					con[j] = centroid[j] + 0.5*(trial[j]-centroid[j])
-				}
-			} else {
-				for j := 0; j < n; j++ {
-					con[j] = centroid[j] + 0.5*(verts[worst][j]-centroid[j])
-				}
-			}
-			fc := safeEval(f, con)
-			if fc < math.Min(fr, fvals[worst]) {
-				copy(verts[worst], con)
-				fvals[worst] = fc
-			} else {
-				// Shrink toward the best vertex.
-				for _, idx := range order[1:] {
-					for j := 0; j < n; j++ {
-						verts[idx][j] = verts[best][j] + 0.5*(verts[idx][j]-verts[best][j])
-					}
-					fvals[idx] = safeEval(f, verts[idx])
-				}
+			d := math.Abs(sx.verts[idx][j] - sx.verts[best][j])
+			if d > diam {
+				diam = d
 			}
 		}
 	}
+	return diam <= tolX
+}
 
-	sortSimplex()
-	best := order[0]
-	out := make([]float64, n)
-	copy(out, verts[best])
-	return &Result{X: out, F: fvals[best], Iters: iters, Converged: converged}, nil
+// step performs one iteration on the sorted simplex: reflection, then
+// expansion, acceptance, contraction or shrink.
+//
+//tspdb:kernel
+func (sx *simplex) step(f Objective) {
+	n := len(sx.centroid)
+	order, verts, fvals := sx.order, sx.verts, sx.fvals
+	centroid, trial := sx.centroid, sx.trial
+	best, worst := order[0], order[n]
+
+	// Centroid of all but the worst vertex.
+	for j := 0; j < n; j++ {
+		centroid[j] = 0
+	}
+	for _, idx := range order[:n] {
+		for j := 0; j < n; j++ {
+			centroid[j] += verts[idx][j]
+		}
+	}
+	for j := 0; j < n; j++ {
+		centroid[j] /= float64(n)
+	}
+
+	// Reflection.
+	for j := 0; j < n; j++ {
+		trial[j] = centroid[j] + (centroid[j] - verts[worst][j])
+	}
+	fr := safeEval(f, trial)
+
+	switch {
+	case fr < fvals[order[0]]:
+		// Expansion.
+		exp := sx.expand
+		for j := 0; j < n; j++ {
+			exp[j] = centroid[j] + 2*(centroid[j]-verts[worst][j])
+		}
+		fe := safeEval(f, exp)
+		if fe < fr {
+			copy(verts[worst], exp)
+			fvals[worst] = fe
+		} else {
+			copy(verts[worst], trial)
+			fvals[worst] = fr
+		}
+	case fr < fvals[order[n-1]]:
+		// Accept reflection.
+		copy(verts[worst], trial)
+		fvals[worst] = fr
+	default:
+		// Contraction (outside if the reflected point improved on the
+		// worst vertex, inside otherwise).
+		con := sx.contr
+		if fr < fvals[worst] {
+			for j := 0; j < n; j++ {
+				con[j] = centroid[j] + 0.5*(trial[j]-centroid[j])
+			}
+		} else {
+			for j := 0; j < n; j++ {
+				con[j] = centroid[j] + 0.5*(verts[worst][j]-centroid[j])
+			}
+		}
+		fc := safeEval(f, con)
+		if fc < math.Min(fr, fvals[worst]) {
+			copy(verts[worst], con)
+			fvals[worst] = fc
+		} else {
+			// Shrink toward the best vertex.
+			for _, idx := range order[1:] {
+				for j := 0; j < n; j++ {
+					verts[idx][j] = verts[best][j] + 0.5*(verts[idx][j]-verts[best][j])
+				}
+				fvals[idx] = safeEval(f, verts[idx])
+			}
+		}
+	}
 }
 
 // safeEval evaluates f and maps NaN to +Inf so that invalid regions are

@@ -2,6 +2,8 @@ package optimize
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -206,5 +208,57 @@ func TestQuickNelderMeadShiftedQuadratic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSimplexSortMatchesSortSlice pins the vertex order, ties included, to
+// the sort.Slice call the insertion sort replaced: for up to 12 elements
+// sort.Slice runs the same insertion sort from the same identity order.
+func TestSimplexSortMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(11) // 2..12 vertices
+		sx := newSimplex(n)
+		for i := range sx.fvals {
+			// Few distinct values, so ties are common.
+			switch v := rng.Intn(5); v {
+			case 4:
+				sx.fvals[i] = math.Inf(1)
+			default:
+				sx.fvals[i] = float64(v)
+			}
+		}
+		want := make([]int, n+1)
+		for i := range want {
+			want[i] = i
+		}
+		sort.Slice(want, func(a, b int) bool { return sx.fvals[want[a]] < sx.fvals[want[b]] })
+		sx.sort()
+		for i := range want {
+			if sx.order[i] != want[i] {
+				t.Fatalf("fvals %v: order %v, sort.Slice %v", sx.fvals, sx.order, want)
+			}
+		}
+	}
+}
+
+// TestNelderMeadIterationsAllocFree pins the //tspdb:kernel contract of the
+// simplex: the allocations of a search do not depend on how many
+// iterations it runs.
+func TestNelderMeadIterationsAllocFree(t *testing.T) {
+	f := func(x []float64) float64 {
+		return 100*(x[1]-x[0]*x[0])*(x[1]-x[0]*x[0]) + (1-x[0])*(1-x[0])
+	}
+	x0 := []float64{-1.2, 1}
+	allocs := func(maxIter int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := NelderMead(f, x0, &NelderMeadSettings{MaxIter: maxIter}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(5), allocs(500)
+	if short != long {
+		t.Errorf("allocs grow with iterations: %v at 5, %v at 500", short, long)
 	}
 }

@@ -74,8 +74,9 @@ type Stats struct {
 
 // Options tunes statement execution.
 type Options struct {
-	// Parallelism is the worker count for CREATE VIEW materialisation and
-	// for the chunked read kernels behind EXPECTED, PROB and COUNT:
+	// Parallelism is the worker count for CREATE VIEW materialisation (the
+	// per-window model fits and the Omega-row generation) and for the
+	// chunked read kernels behind EXPECTED, PROB and COUNT:
 	// 1 runs sequentially, 0 selects GOMAXPROCS (see ResolveParallelism).
 	// Results are byte-identical at every setting.
 	Parallelism int
@@ -245,7 +246,8 @@ func execCreateView(db *storage.DB, s *CreateViewStmt, opts Options) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	tuples, err := view.TuplesFromSeries(series, metric, h, tLo, tHi)
+	workers := ResolveParallelism(opts.Parallelism)
+	tuples, err := view.TuplesFromSeries(series, metric, h, tLo, tHi, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +259,7 @@ func execCreateView(db *storage.DB, s *CreateViewStmt, opts Options) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	builder.Parallelism = ResolveParallelism(opts.Parallelism)
+	builder.Parallelism = workers
 	var cache *sigmacache.Cache
 	if s.Cache != nil {
 		cache, err = builder.AttachCache(tuples, s.Cache.Distance, s.Cache.Memory)

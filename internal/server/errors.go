@@ -65,14 +65,17 @@ func StatusFor(err error) int {
 		errors.Is(err, sigmacache.ErrBadConfig),
 		errors.Is(err, sigmacache.ErrBadRange),
 		errors.Is(err, timeseries.ErrUnsorted),
+		errors.Is(err, timeseries.ErrNonFinite),
 		errors.Is(err, timeseries.ErrEmpty),
 		errors.Is(err, timeseries.ErrBadCSV),
 		errors.Is(err, timeseries.ErrBadWindow):
 		return http.StatusBadRequest
-	case errors.Is(err, durable.ErrBadRecord):
-		// A corrupt commit-log record is engine-side state damage, not a
-		// client mistake. The explicit case keeps the sentinel mapping
-		// exhaustive (tspdblint checks it) while still answering 500.
+	case errors.Is(err, durable.ErrBadRecord),
+		errors.Is(err, timeseries.ErrOutOfRange):
+		// A corrupt commit-log record or an out-of-range series index is
+		// engine-side damage, not a client mistake. The explicit case keeps
+		// the sentinel mapping exhaustive (tspdblint checks it) while still
+		// answering 500.
 		return http.StatusInternalServerError
 	default:
 		return http.StatusInternalServerError

@@ -205,10 +205,12 @@ func TestErrorStatusMapping(t *testing.T) {
 		{fmt.Errorf("wrap: %w", query.ErrColumnMismatch), 400},
 		{fmt.Errorf("wrap: %w", query.ErrUnsupported), 400},
 		{fmt.Errorf("wrap: %w", timeseries.ErrUnsorted), 400},
+		{fmt.Errorf("wrap: %w", timeseries.ErrNonFinite), 400},
 		{&query.SyntaxError{Pos: 3, Msg: "boom"}, 400},
 		// Corrupt commit-log records are engine-side damage: explicitly 500
 		// (the case exists so tspdblint's sentinel coverage stays total).
 		{fmt.Errorf("wrap: %w", durable.ErrBadRecord), 500},
+		{fmt.Errorf("wrap: %w", timeseries.ErrOutOfRange), 500},
 		{errors.New("opaque failure"), 500},
 	}
 	for _, tc := range unit {

@@ -610,22 +610,11 @@ func seriesPoints(s *timeseries.Series) ([]timeseries.Point, error) {
 	return pts, nil
 }
 
-// validateAppend rejects the out-of-order point Series.Append would
-// reject, without mutating anything — the pre-log check that keeps the
-// WAL free of records the in-memory table refuses.
+// validateAppend rejects the point Series.Append would reject (out of
+// order or non-finite), without mutating anything — the pre-log check that
+// keeps the WAL free of records the in-memory table refuses.
 func (t *RawTable) validateAppend(p timeseries.Point) error {
-	n := t.Series.Len()
-	if n == 0 {
-		return nil
-	}
-	last, err := t.Series.At(n - 1)
-	if err != nil {
-		return err
-	}
-	if p.T <= last.T {
-		return fmt.Errorf("%w: t=%d not after t=%d", timeseries.ErrUnsorted, p.T, last.T)
-	}
-	return nil
+	return t.Series.CheckAppend(p)
 }
 
 // RawTable fetches a raw table by name.

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -87,6 +88,13 @@ func TestAppendRaw(t *testing.T) {
 	// Appending a stale timestamp must propagate the series error.
 	if err := db.AppendRaw("stream", timeseries.Point{T: 50, V: 1}); err == nil {
 		t.Error("stale timestamp accepted")
+	}
+	// A non-finite value is refused before it reaches the table.
+	if err := db.AppendRaw("stream", timeseries.Point{T: 101, V: math.NaN()}); !errors.Is(err, timeseries.ErrNonFinite) {
+		t.Errorf("NaN accepted: %v", err)
+	}
+	if tab.Series.Len() != 4 {
+		t.Errorf("length after rejected append = %d", tab.Series.Len())
 	}
 }
 

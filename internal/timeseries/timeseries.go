@@ -20,12 +20,12 @@ import (
 
 // Errors reported by the package.
 var (
-	ErrEmpty       = errors.New("timeseries: empty series")
-	ErrBadWindow   = errors.New("timeseries: invalid window specification")
-	ErrUnsorted    = errors.New("timeseries: timestamps not strictly increasing")
-	ErrBadCSV      = errors.New("timeseries: malformed CSV input")
-	ErrOutOfRange  = errors.New("timeseries: index out of range")
-	ErrLengthMatch = errors.New("timeseries: slice lengths differ")
+	ErrEmpty      = errors.New("timeseries: empty series")
+	ErrBadWindow  = errors.New("timeseries: invalid window specification")
+	ErrUnsorted   = errors.New("timeseries: timestamps not strictly increasing")
+	ErrNonFinite  = errors.New("timeseries: value is NaN or infinite")
+	ErrBadCSV     = errors.New("timeseries: malformed CSV input")
+	ErrOutOfRange = errors.New("timeseries: index out of range")
 )
 
 // Point is a single timestamped raw value r_t.
@@ -41,17 +41,29 @@ type Series struct {
 }
 
 // New creates a Series from points, verifying that timestamps strictly
-// increase. The slice is copied.
+// increase and that every value is finite. The slice is copied.
 func New(pts []Point) (*Series, error) {
 	s := &Series{pts: make([]Point, len(pts))}
 	copy(s.pts, pts)
-	for i := 1; i < len(s.pts); i++ {
-		if s.pts[i].T <= s.pts[i-1].T {
+	for i, p := range s.pts {
+		if err := checkFinite(p); err != nil {
+			return nil, err
+		}
+		if i > 0 && p.T <= s.pts[i-1].T {
 			return nil, fmt.Errorf("%w: index %d (t=%d after t=%d)",
-				ErrUnsorted, i, s.pts[i].T, s.pts[i-1].T)
+				ErrUnsorted, i, p.T, s.pts[i-1].T)
 		}
 	}
 	return s, nil
+}
+
+// checkFinite rejects a NaN or infinite value: one such point would break
+// every model fit over a window that contains it.
+func checkFinite(p Point) error {
+	if math.IsNaN(p.V) || math.IsInf(p.V, 0) {
+		return fmt.Errorf("%w: t=%d v=%v", ErrNonFinite, p.T, p.V)
+	}
+	return nil
 }
 
 // FromValues builds a series with timestamps 1..len(vs) (the convention used
@@ -94,12 +106,25 @@ func (s *Series) Times() []int64 {
 }
 
 // Append adds a point to the end of the series; its timestamp must exceed the
-// current last timestamp. This is the online-mode ingestion path.
+// current last timestamp and its value must be finite. This is the
+// online-mode ingestion path.
 func (s *Series) Append(p Point) error {
+	if err := s.CheckAppend(p); err != nil {
+		return err
+	}
+	s.pts = append(s.pts, p)
+	return nil
+}
+
+// CheckAppend reports the error Append would return for p, without
+// mutating the series.
+func (s *Series) CheckAppend(p Point) error {
+	if err := checkFinite(p); err != nil {
+		return err
+	}
 	if n := len(s.pts); n > 0 && p.T <= s.pts[n-1].T {
 		return fmt.Errorf("%w: append t=%d after t=%d", ErrUnsorted, p.T, s.pts[n-1].T)
 	}
-	s.pts = append(s.pts, p)
 	return nil
 }
 
@@ -153,10 +178,26 @@ func (s *Series) WindowEnding(end, h int) (Window, error) {
 		return Window{}, fmt.Errorf("%w: end=%d H=%d len=%d", ErrBadWindow, end, h, len(s.pts))
 	}
 	vals := make([]float64, h)
-	for i := 0; i < h; i++ {
-		vals[i] = s.pts[end-h+1+i].V
-	}
+	s.copyWindow(end, vals)
 	return Window{Values: vals, EndIndex: end}, nil
+}
+
+// WindowInto copies the len(dst) values ending at index end into dst (so
+// they predict index end+1), allocating nothing. It requires
+// len(dst)-1 <= end < Len().
+func (s *Series) WindowInto(end int, dst []float64) error {
+	if len(dst) == 0 || end < len(dst)-1 || end >= len(s.pts) {
+		return fmt.Errorf("%w: end=%d H=%d len=%d", ErrBadWindow, end, len(dst), len(s.pts))
+	}
+	s.copyWindow(end, dst)
+	return nil
+}
+
+func (s *Series) copyWindow(end int, dst []float64) {
+	first := end - len(dst) + 1
+	for i := range dst {
+		dst[i] = s.pts[first+i].V
+	}
 }
 
 // Windows iterates all windows of length h whose successor point exists,

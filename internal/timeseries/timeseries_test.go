@@ -29,6 +29,24 @@ func TestNewRejectsUnsortedTimestamps(t *testing.T) {
 	}
 }
 
+func TestRejectsNonFiniteValues(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := New([]Point{{T: 1, V: 1}, {T: 2, V: v}}); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("New accepted v=%v: %v", v, err)
+		}
+		s := mustSeries(t, []Point{{T: 1, V: 1}})
+		if err := s.CheckAppend(Point{T: 2, V: v}); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("CheckAppend accepted v=%v: %v", v, err)
+		}
+		if err := s.Append(Point{T: 2, V: v}); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("Append accepted v=%v: %v", v, err)
+		}
+		if s.Len() != 1 {
+			t.Errorf("rejected append of v=%v changed the series: len %d", v, s.Len())
+		}
+	}
+}
+
 func TestNewCopiesInput(t *testing.T) {
 	pts := []Point{{T: 1, V: 1}, {T: 2, V: 2}}
 	s := mustSeries(t, pts)
@@ -168,6 +186,29 @@ func TestWindowEnding(t *testing.T) {
 	}
 	if _, err := s.WindowEnding(3, 0); !errors.Is(err, ErrBadWindow) {
 		t.Error("H=0 accepted")
+	}
+}
+
+func TestWindowInto(t *testing.T) {
+	s := FromValues([]float64{1, 2, 3, 4, 5})
+	dst := make([]float64, 3)
+	if err := s.WindowInto(3, dst); err != nil {
+		t.Fatal(err)
+	}
+	w, _ := s.WindowEnding(3, 3)
+	for i, v := range w.Values {
+		if dst[i] != v {
+			t.Errorf("dst[%d] = %v, want %v", i, dst[i], v)
+		}
+	}
+	if err := s.WindowInto(1, dst); !errors.Is(err, ErrBadWindow) {
+		t.Error("too-early window accepted")
+	}
+	if err := s.WindowInto(5, dst); !errors.Is(err, ErrBadWindow) {
+		t.Error("out-of-range end accepted")
+	}
+	if err := s.WindowInto(3, nil); !errors.Is(err, ErrBadWindow) {
+		t.Error("empty window accepted")
 	}
 }
 

@@ -13,12 +13,13 @@
 // with similar sigma, Section VI-A/B). Both online (streaming) and offline
 // (time-interval query) modes are provided.
 //
-// Offline generation is embarrassingly parallel — every tuple's n rows are
-// a pure function of that tuple — so Generate fans contiguous tuple windows
-// out across a worker pool (Builder.Parallelism) with each worker writing a
-// disjoint span of one pre-sized row array. The output is byte-identical to
-// the sequential build regardless of scheduling, and the shared sigma-cache
-// is safe for concurrent readers.
+// Offline builds are embarrassingly parallel — every window's fit is a pure
+// function of the window, and every tuple's n rows a pure function of the
+// tuple — so TuplesFromSeries and Generate both fan their items out across
+// one worker-pool shape (parallelFor), each worker writing disjoint slots of
+// one pre-sized output array. The output is byte-identical to the
+// sequential build regardless of scheduling, and the shared sigma-cache is
+// safe for concurrent readers.
 package view
 
 import (
@@ -111,34 +112,136 @@ type View struct {
 // TuplesFromSeries runs a dynamic density metric over sliding windows of s
 // and returns one Tuple per inferable time step whose timestamp lies in
 // [tLo, tHi]. This is the inference stage that precedes view generation.
-func TuplesFromSeries(s *timeseries.Series, metric density.Metric, h int, tLo, tHi int64) ([]Tuple, error) {
+//
+// Every window is fitted independently (Algorithm 1), so the fits fan out
+// across workers goroutines (at most one is used when workers is omitted or
+// below 2). Each worker copies its window into its own buffer, which it
+// reuses after Infer returns; metric.Infer must be safe for concurrent use
+// and must not retain the window. Tuples land in fixed slots, so the result
+// is identical at every worker count, and so is the error: the one from the
+// earliest window that fails.
+func TuplesFromSeries(s *timeseries.Series, metric density.Metric, h int, tLo, tHi int64, workers ...int) ([]Tuple, error) {
 	if metric == nil {
 		return nil, fmt.Errorf("%w: nil metric", ErrBadArg)
 	}
 	if h < metric.MinWindow() {
 		return nil, fmt.Errorf("%w: H=%d below metric minimum %d", ErrBadArg, h, metric.MinWindow())
 	}
-	var tuples []Tuple
-	var inferErr error
-	err := s.Windows(h, func(w timeseries.Window, next timeseries.Point) bool {
-		if next.T < tLo || next.T > tHi {
-			return true
+	n := s.Len()
+	if h <= 0 || h >= n {
+		return nil, fmt.Errorf("%w: H=%d len=%d", timeseries.ErrBadWindow, h, n)
+	}
+	// Predicted indices in range: [lo, hi), each with a full window before
+	// it. Windows outside the range are never copied.
+	lo := s.IndexOfTime(tLo)
+	if lo < h {
+		lo = h
+	}
+	hi := n
+	if tHi < math.MaxInt64 {
+		hi = s.IndexOfTime(tHi + 1)
+	}
+	if lo >= hi {
+		return nil, nil
+	}
+
+	tuples := make([]Tuple, hi-lo)
+	w := 1
+	if len(workers) > 0 {
+		w = poolSize(len(tuples), 1, workers[0])
+	}
+	bufs := make([]float64, w*h)
+	err := parallelFor(len(tuples), 1, w, func(worker, k int) error {
+		buf := bufs[worker*h : (worker+1)*h]
+		i := lo + k
+		if err := s.WindowInto(i-1, buf); err != nil {
+			return err
 		}
-		inf, err := metric.Infer(w.Values)
+		next, err := s.At(i)
 		if err != nil {
-			inferErr = err
-			return false
+			return err
 		}
-		tuples = append(tuples, Tuple{T: next.T, RHat: inf.RHat, Sigma: inf.Sigma, Dist: inf.Dist})
-		return true
+		inf, err := metric.Infer(buf)
+		if err != nil {
+			return err
+		}
+		tuples[k] = Tuple{T: next.T, RHat: inf.RHat, Sigma: inf.Sigma, Dist: inf.Dist}
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if inferErr != nil {
-		return nil, inferErr
-	}
 	return tuples, nil
+}
+
+// poolSize resolves the worker count for n items claimed chunk at a time:
+// never more than there are chunks to claim, never less than one.
+func poolSize(n, chunk, workers int) int {
+	if chunks := (n + chunk - 1) / chunk; workers > chunks {
+		workers = chunks
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	return workers
+}
+
+// parallelFor calls body(worker, i) for every i in [0, n), where worker in
+// [0, workers) identifies the goroutine so body can keep per-worker
+// scratch. With workers <= 1 it runs in order on the calling goroutine.
+// Otherwise workers claim chunks of chunk indices from an atomic cursor,
+// which balances uneven per-item costs.
+//
+// The returned error is the one from the lowest failing index, as in the
+// sequential loop. Every index below it was run: chunks are claimed in
+// index order, and a worker skips only indices at or above a recorded
+// failure, which cannot hide a lower one.
+func parallelFor(n, chunk, workers int, body func(worker, i int) error) error {
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := body(0, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var (
+		cursor   atomic.Int64
+		failAt   atomic.Int64 // lowest failing index so far; n when none
+		mu       sync.Mutex   // orders failAt updates with firstErr
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	failAt.Store(int64(n))
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(worker int) {
+			defer wg.Done()
+			for {
+				lo := cursor.Add(int64(chunk)) - int64(chunk)
+				hi := min(lo+int64(chunk), int64(n))
+				for i := lo; i < hi; i++ {
+					if i >= failAt.Load() {
+						return
+					}
+					if err := body(worker, int(i)); err != nil {
+						mu.Lock()
+						if i < failAt.Load() {
+							failAt.Store(i)
+							firstErr = err
+						}
+						mu.Unlock()
+						return
+					}
+				}
+				if hi >= int64(n) {
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	return firstErr
 }
 
 // Builder evaluates probability value generation queries over stored tuples.
@@ -199,7 +302,7 @@ func (b *Builder) AttachCache(tuples []Tuple, distanceConstraint float64, memory
 // array: the per-tuple cost is pure computation, so the sigma-cache's saving
 // (CDF evaluations) shows up undiluted, as in the paper's Fig. 14a.
 //
-// With Parallelism > 1 the tuple windows are processed by a worker pool;
+// With Parallelism > 1 chunks of tuples are processed by a worker pool;
 // each worker writes a disjoint span of the row array, so the rows come out
 // in tuple order and are identical to a sequential build.
 func (b *Builder) Generate(tuples []Tuple) (*View, error) {
@@ -210,89 +313,21 @@ func (b *Builder) Generate(tuples []Tuple) (*View, error) {
 		return nil, ErrNoTuples
 	}
 	rows := make([]Row, len(tuples)*b.Omega.N)
-	workers := b.workers(len(tuples))
-	if workers <= 1 {
-		if err := b.generateSpan(tuples, rows, 0, len(tuples)); err != nil {
-			return nil, err
-		}
-	} else if err := b.generateParallel(tuples, rows, workers); err != nil {
+	workers := poolSize(len(tuples), generateChunk, b.Parallelism)
+	n := b.Omega.N
+	err := parallelFor(len(tuples), generateChunk, workers, func(_, i int) error {
+		return b.generateInto(tuples[i], rows[i*n:(i+1)*n])
+	})
+	if err != nil {
 		return nil, err
 	}
 	return &View{Omega: b.Omega, Rows: rows}, nil
 }
 
-// windowSize is the number of tuples a worker claims at a time: small
+// generateChunk is the number of tuples a worker claims at a time: small
 // enough to balance the bimodal per-tuple cost (cache hit vs naive CDF
 // evaluation), large enough to keep cursor traffic negligible.
-const windowSize = 64
-
-// workers resolves the effective worker count for a tuple batch: never more
-// than there are windows to claim, never less than one.
-func (b *Builder) workers(tuples int) int {
-	w := b.Parallelism
-	if windows := (tuples + windowSize - 1) / windowSize; w > windows {
-		w = windows
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// generateSpan fills rows for tuples[lo:hi]; rows is the full backing array.
-func (b *Builder) generateSpan(tuples []Tuple, rows []Row, lo, hi int) error {
-	n := b.Omega.N
-	for i := lo; i < hi; i++ {
-		if err := b.generateInto(tuples[i], rows[i*n:(i+1)*n]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// generateParallel fans fixed-size tuple windows out across workers. Workers
-// claim windows from an atomic cursor (cheap dynamic load balancing — the
-// naive path is much more expensive per tuple than a cache hit), and every
-// window maps to a fixed span of the row array, so the merge is a no-op and
-// the output order is deterministic.
-func (b *Builder) generateParallel(tuples []Tuple, rows []Row, workers int) error {
-	windows := (len(tuples) + windowSize - 1) / windowSize
-
-	var (
-		cursor  atomic.Int64
-		failed  atomic.Bool
-		errOnce sync.Once
-		firstEr error
-		wg      sync.WaitGroup
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				win := int(cursor.Add(1)) - 1
-				if win >= windows {
-					return
-				}
-				lo := win * windowSize
-				hi := lo + windowSize
-				if hi > len(tuples) {
-					hi = len(tuples)
-				}
-				if err := b.generateSpan(tuples, rows, lo, hi); err != nil {
-					errOnce.Do(func() { firstEr = err })
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if failed.Load() {
-		return firstEr
-	}
-	return nil
-}
+const generateChunk = 64
 
 // GenerateOne evaluates Eq. (9) for a single tuple.
 func (b *Builder) GenerateOne(tp Tuple) ([]Row, error) {
