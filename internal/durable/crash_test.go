@@ -152,7 +152,16 @@ var crashModes = []faultfs.Mode{faultfs.DropUnsynced, faultfs.KeepHalfUnsynced, 
 // the manifest rename, the WAL trim — under all three cache-survival
 // modes. After each crash, recovery must reconstruct exactly the
 // acknowledged prefix: no lost acks, no phantom rows.
+//
+// Views are logged as header plus continuation records here (the record
+// bound is shrunk to a couple of hundred bytes), so "bulk" spans several
+// records: a crash at any of its record boundaries, or inside one of its
+// records, must recover either no "bulk" or all of it — never a prefix.
 func TestCrashPointMatrix(t *testing.T) {
+	withViewChunkBytes(t, 200)
+	if n := len(viewRecords(t, testMeta, seqRows(24))); n < 4 {
+		t.Fatalf("bulk view logs as %d records, want a multi-record sequence", n)
+	}
 	script := []scriptOp{
 		opCreateRaw("s", []timeseries.Point{{T: 1, V: 10}, {T: 2, V: 11}}),
 		opStoreView("v", nil),
@@ -166,6 +175,7 @@ func TestCrashPointMatrix(t *testing.T) {
 		opAppendRows("v", []view.Row{{T: 5, Lambda: 0, Lo: 3, Hi: 3.5, Prob: 0.5}}),
 		opCreateRaw("aux", nil),
 		opAppendRaw("aux", timeseries.Point{T: 1, V: -1}),
+		opStoreView("bulk", seqRows(24)),
 		opCheckpoint(),
 		opStep("s", "v", timeseries.Point{T: 6, V: 4}, []view.Row{
 			{T: 6, Lambda: 0, Lo: 4, Hi: 4.5, Prob: 0.8},
@@ -176,6 +186,7 @@ func TestCrashPointMatrix(t *testing.T) {
 			{T: 7, Lambda: 0, Lo: 5, Hi: 5.5, Prob: 0.9},
 		}),
 		opCheckpoint(),
+		opStoreView("bulk", seqRows(30)), // replaces a checkpointed view
 		opStep("s", "v", timeseries.Point{T: 8, V: 5}, []view.Row{
 			{T: 8, Lambda: 0, Lo: 5, Hi: 5.5, Prob: 1},
 		}),
@@ -211,7 +222,9 @@ func randomScript(rng *rand.Rand, n int) []scriptOp {
 		out := make([]view.Row, k)
 		for i := range out {
 			lo := rng.Float64() * 10
-			out[i] = view.Row{T: tt, Lambda: lambda, Lo: lo, Hi: lo + 0.5, Prob: rng.Float64()}
+			// A script adds at most 75 rows to one tuple, so a mass of
+			// 1/128 per row keeps every tuple's mass below 1.
+			out[i] = view.Row{T: tt, Lambda: lambda, Lo: lo, Hi: lo + 0.5, Prob: rng.Float64() / 128}
 			lambda++
 		}
 		return out
@@ -246,6 +259,16 @@ func randomScript(rng *rand.Rand, n int) []scriptOp {
 			for i := 0; i < k; i++ {
 				pre = append(pre, view.Row{T: int64(i + 1), Lambda: 0, Lo: float64(i), Hi: float64(i) + 1, Prob: 0.5})
 			}
+			if rng.Intn(2) == 0 {
+				// A bulk replacement spanning several records, its
+				// timestamps at or below the stream's so later steps
+				// continue it in order.
+				pre = pre[:0]
+				for i := 0; i < 20+rng.Intn(20); i++ {
+					tt := 1 + int64(i)*rawT/40
+					pre = append(pre, view.Row{T: tt, Lambda: i, Lo: float64(i), Hi: float64(i) + 1, Prob: 1.0 / 64})
+				}
+			}
 			script = append(script, opStoreView("v", pre))
 		}
 	}
@@ -257,7 +280,10 @@ func randomScript(rng *rand.Rand, n int) []scriptOp {
 // modes, recover, and require the recovered catalog — rows, group index,
 // query surfaces — byte-identical to the corresponding prefix of the
 // uninterrupted run.
+//
+// As in TestCrashPointMatrix, views are logged as multi-record sequences.
 func TestRandomWorkloadCrashRecovery(t *testing.T) {
+	withViewChunkBytes(t, 200)
 	trials := 10
 	if testing.Short() {
 		trials = 3

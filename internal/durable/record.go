@@ -11,10 +11,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/storage"
 	"repro/internal/timeseries"
 	"repro/internal/view"
+	"repro/internal/wal"
 )
 
 // ErrBadRecord reports a WAL payload that does not decode as a record.
@@ -23,16 +25,28 @@ import (
 // rather than guessing.
 var ErrBadRecord = errors.New("durable: malformed record")
 
-// Record kinds, one per storage.CommitLog method.
+// Record kinds, one per storage.CommitLog method — except StoreView,
+// which logs a header record followed by continuation records.
 const (
 	recCreateRaw byte = iota + 1
 	recAppendRaw
+	// recStoreView is the single-record view written by earlier versions.
+	// Replay still reads it, as a header that carries every row.
 	recStoreView
 	recAppendRows
 	recStep
 	recDrop
 	recReset
+	// recViewBegin opens a stored view: its meta, its total row count and
+	// the first rows. recViewRows records carry the rest, in order.
+	recViewBegin
+	recViewRows
 )
+
+// viewChunkBytes bounds the payload of each record of a stored view, so a
+// view of any size logs as records far below wal.MaxRecordBytes. Tests
+// shrink it to run the multi-record path on a few hundred rows.
+var viewChunkBytes = 1 << 20
 
 // record is the decoded form of one WAL payload; which fields are
 // meaningful depends on kind.
@@ -45,10 +59,43 @@ type record struct {
 	metric   string
 	omega    view.Omega
 	prior    int // view row count before an appendRows batch
+	total    int // rows of the whole view, for a view header
 	pt       timeseries.Point
 	pts      []timeseries.Point
 	rows     []view.Row
 	viewName string // step: the view receiving rows
+}
+
+// Encoders build each record in a buffer of exactly its size, with the
+// first wal.HeaderBytes reserved for the frame header Log.Append fills
+// in place. The size helpers below mirror the append helpers byte for
+// byte.
+
+func uvarintBytes(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+func varintBytes(v int64) int { return uvarintBytes(uint64(v<<1) ^ uint64(v>>63)) }
+
+func strBytes(s string) int { return uvarintBytes(uint64(len(s))) + len(s) }
+
+const pointBytes = 16
+
+func rowBytes(r *view.Row) int { return 32 + varintBytes(int64(r.Lambda)) }
+
+func rowBatchBytes(rows []view.Row) int {
+	n := uvarintBytes(uint64(len(rows)))
+	for i := range rows {
+		n += rowBytes(&rows[i])
+	}
+	return n
+}
+
+// newRecord returns an empty record of kind whose payload (the kind byte
+// included) is exactly payload bytes: the frame header is reserved, the
+// kind written, and the capacity exact.
+func newRecord(kind byte, payload int) []byte {
+	dst := make([]byte, wal.HeaderBytes+1, wal.HeaderBytes+payload)
+	dst[wal.HeaderBytes] = kind
+	return dst
 }
 
 func appendStr(dst []byte, s string) []byte {
@@ -69,7 +116,7 @@ func appendPoints(dst []byte, pts []timeseries.Point) []byte {
 	return dst
 }
 
-func appendRow(dst []byte, r view.Row) []byte {
+func appendRow(dst []byte, r *view.Row) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.T))
 	dst = binary.AppendVarint(dst, int64(r.Lambda))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Lo))
@@ -79,14 +126,15 @@ func appendRow(dst []byte, r view.Row) []byte {
 
 func appendRowBatch(dst []byte, rows []view.Row) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(rows)))
-	for _, r := range rows {
-		dst = appendRow(dst, r)
+	for i := range rows {
+		dst = appendRow(dst, &rows[i])
 	}
 	return dst
 }
 
 func encodeCreateRaw(name, timeCol, valueCol string, pts []timeseries.Point) []byte {
-	dst := []byte{recCreateRaw}
+	dst := newRecord(recCreateRaw, 1+strBytes(name)+strBytes(timeCol)+strBytes(valueCol)+
+		uvarintBytes(uint64(len(pts)))+len(pts)*pointBytes)
 	dst = appendStr(dst, name)
 	dst = appendStr(dst, timeCol)
 	dst = appendStr(dst, valueCol)
@@ -94,30 +142,88 @@ func encodeCreateRaw(name, timeCol, valueCol string, pts []timeseries.Point) []b
 }
 
 func encodeAppendRaw(name string, p timeseries.Point) []byte {
-	dst := []byte{recAppendRaw}
+	dst := newRecord(recAppendRaw, 1+strBytes(name)+pointBytes)
 	dst = appendStr(dst, name)
 	return appendPoint(dst, p)
 }
 
-func encodeStoreView(meta storage.ViewMeta, rows []view.Row) []byte {
-	dst := []byte{recStoreView}
+// viewMetaBytes is the size of a view header's fields before its rows.
+func viewMetaBytes(meta storage.ViewMeta, total int) int {
+	return strBytes(meta.Name) + strBytes(meta.Source) + strBytes(meta.MetricName) +
+		8 + varintBytes(int64(meta.Omega.N)) + uvarintBytes(uint64(total))
+}
+
+func appendViewMeta(dst []byte, meta storage.ViewMeta, total int) []byte {
 	dst = appendStr(dst, meta.Name)
 	dst = appendStr(dst, meta.Source)
 	dst = appendStr(dst, meta.MetricName)
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(meta.Omega.Delta))
 	dst = binary.AppendVarint(dst, int64(meta.Omega.N))
-	return appendRowBatch(dst, rows)
+	return binary.AppendUvarint(dst, uint64(total))
+}
+
+// chunkRows returns how many leading rows fit in a row batch of at most
+// budget bytes — always at least one, so every record makes progress —
+// and the batch's exact encoded size.
+func chunkRows(rows []view.Row, budget int) (n, size int) {
+	budget -= binary.MaxVarintLen64 // the batch's count prefix
+	for n < len(rows) {
+		b := rowBytes(&rows[n])
+		if n > 0 && size+b > budget {
+			break
+		}
+		size += b
+		n++
+	}
+	return n, size + uvarintBytes(uint64(n))
+}
+
+// encodeView logs a stored view: a recViewBegin header (meta, total row
+// count, first rows) followed by recViewRows continuations, each record's
+// payload at most viewChunkBytes. The rows are read in place and written
+// once, into one buffer allocated once — at the exact record size for a
+// one-record view, at the record bound otherwise — and reused for every
+// record: emit must be done with a record before it returns.
+func encodeView(meta storage.ViewMeta, rows []view.Row, emit func(rec []byte) error) error {
+	var buf []byte
+	total := len(rows)
+	fixed := 1 + viewMetaBytes(meta, total)
+	for first := true; first || len(rows) > 0; first = false {
+		n, size := chunkRows(rows, viewChunkBytes-fixed)
+		need := wal.HeaderBytes + fixed + size
+		if cap(buf) < need {
+			if n < len(rows) {
+				// Continuations follow: size the buffer for the largest.
+				need = max(need, wal.HeaderBytes+viewChunkBytes)
+			}
+			buf = make([]byte, 0, need)
+		}
+		rec := buf[:wal.HeaderBytes]
+		if first {
+			rec = append(rec, recViewBegin)
+			rec = appendViewMeta(rec, meta, total)
+		} else {
+			rec = append(rec, recViewRows)
+		}
+		rec = appendRowBatch(rec, rows[:n])
+		if err := emit(rec); err != nil {
+			return err
+		}
+		rows = rows[n:]
+		fixed = 1
+	}
+	return nil
 }
 
 func encodeAppendRows(name string, prior int, rows []view.Row) []byte {
-	dst := []byte{recAppendRows}
+	dst := newRecord(recAppendRows, 1+strBytes(name)+uvarintBytes(uint64(prior))+rowBatchBytes(rows))
 	dst = appendStr(dst, name)
 	dst = binary.AppendUvarint(dst, uint64(prior))
 	return appendRowBatch(dst, rows)
 }
 
 func encodeStep(source string, p timeseries.Point, viewName string, rows []view.Row) []byte {
-	dst := []byte{recStep}
+	dst := newRecord(recStep, 1+strBytes(source)+pointBytes+strBytes(viewName)+rowBatchBytes(rows))
 	dst = appendStr(dst, source)
 	dst = appendPoint(dst, p)
 	dst = appendStr(dst, viewName)
@@ -125,10 +231,10 @@ func encodeStep(source string, p timeseries.Point, viewName string, rows []view.
 }
 
 func encodeDrop(name string) []byte {
-	return appendStr([]byte{recDrop}, name)
+	return appendStr(newRecord(recDrop, 1+strBytes(name)), name)
 }
 
-func encodeReset() []byte { return []byte{recReset} }
+func encodeReset() []byte { return newRecord(recReset, 1) }
 
 // dec is a bounds-checked cursor over one record payload. Every read
 // reports failure through ok; decode checks once at the end, so a
@@ -179,6 +285,16 @@ func (d *dec) varint() int64 {
 	}
 	d.b = d.b[n:]
 	return v
+}
+
+// int reads a uvarint that must fit an int.
+func (d *dec) int() int {
+	v := d.uvarint()
+	if v > math.MaxInt {
+		d.ok = false
+		return 0
+	}
+	return int(v)
 }
 
 func (d *dec) str() string {
@@ -248,12 +364,20 @@ func decodeRecord(b []byte) (record, error) {
 	case recAppendRaw:
 		r.name = d.str()
 		r.pt = d.point()
-	case recStoreView:
+	case recStoreView, recViewBegin:
 		r.name = d.str()
 		r.source = d.str()
 		r.metric = d.str()
 		r.omega.Delta = d.f64()
 		r.omega.N = int(d.varint())
+		if r.kind == recViewBegin {
+			r.total = d.int()
+		}
+		r.rows = d.rowBatch()
+		if r.kind == recStoreView {
+			r.total = len(r.rows)
+		}
+	case recViewRows:
 		r.rows = d.rowBatch()
 	case recAppendRows:
 		r.name = d.str()

@@ -76,6 +76,17 @@ type Store struct {
 	closeErr error
 
 	recovery RecoveryStats // what Open replayed; immutable afterwards
+
+	// partial is the stored view replay is assembling from its header and
+	// continuation records. Used only inside Open.
+	partial *partialView
+}
+
+// partialView is a stored view whose records replay has seen only part of.
+type partialView struct {
+	meta  storage.ViewMeta
+	total int
+	rows  []view.Row
 }
 
 func (s *Store) walDir() string { return filepath.Join(s.dir, "wal") }
@@ -264,10 +275,15 @@ func (s *Store) replayWAL(floor uint64) (uint64, error) {
 			break
 		}
 	}
+	// A view whose records stop short of its row count was never
+	// acknowledged: the crash cut its CREATE VIEW, so it is dropped whole.
+	s.partial = nil
 	return live + 1, nil
 }
 
 // apply re-applies one replayed record to the (logger-detached) catalog.
+// Like replayWAL it runs inside Open, before the Store is shared, so
+// no lock is held.
 func (s *Store) apply(payload []byte) error {
 	r, err := decodeRecord(payload)
 	if err != nil {
@@ -286,15 +302,20 @@ func (s *Store) apply(payload []byte) error {
 		s.noteCreateRaw(r.name)
 	case recAppendRaw:
 		return db.AppendRaw(r.name, r.pt)
-	case recStoreView:
-		p := &storage.ProbTable{
-			Name: r.name, Source: r.source, MetricName: r.metric,
-			Omega: r.omega, Rows: r.rows,
+	case recStoreView, recViewBegin:
+		// A header starts a new view. Any view still being assembled was
+		// cut by a crash before its last record and is abandoned: its
+		// records are contiguous (see StoreView), so none of it follows.
+		s.partial = &partialView{
+			meta:  storage.ViewMeta{Name: r.name, Source: r.source, MetricName: r.metric, Omega: r.omega},
+			total: r.total,
 		}
-		if err := db.StoreView(p); err != nil {
-			return err
+		return s.addViewRows(r.rows)
+	case recViewRows:
+		if s.partial == nil {
+			return fmt.Errorf("%w: view rows without a view header", ErrBadRecord)
 		}
-		s.noteStoreView(r.name)
+		return s.addViewRows(r.rows)
 	case recAppendRows:
 		p, err := db.View(r.name)
 		if err != nil {
@@ -335,6 +356,40 @@ func (s *Store) apply(payload []byte) error {
 	return nil
 }
 
+// addViewRows adds one record's rows to the view being assembled and
+// stores the view once all of its rows have arrived. The buffer grows by
+// doubling but never past the rows the records have delivered, so a
+// corrupt row count cannot force a large allocation. Runs inside Open
+// (via apply), so no lock is held.
+func (s *Store) addViewRows(rows []view.Row) error {
+	pv := s.partial
+	n := len(pv.rows) + len(rows)
+	if n > pv.total {
+		return fmt.Errorf("%w: view %q holds more than its %d rows", ErrBadRecord, pv.meta.Name, pv.total)
+	}
+	if pv.rows == nil {
+		pv.rows = rows
+	} else {
+		if n > cap(pv.rows) {
+			grown := make([]view.Row, len(pv.rows), min(pv.total, max(n, 2*cap(pv.rows))))
+			copy(grown, pv.rows)
+			pv.rows = grown
+		}
+		pv.rows = append(pv.rows, rows...)
+	}
+	if n < pv.total {
+		return nil
+	}
+	s.partial = nil
+	m := pv.meta
+	p := &storage.ProbTable{Name: m.Name, Source: m.Source, MetricName: m.MetricName, Omega: m.Omega, Rows: pv.rows}
+	if err := s.db.StoreView(p); err != nil {
+		return err
+	}
+	s.noteStoreView(m.Name)
+	return nil
+}
+
 // --- storage.CommitLog: log-before-apply hooks -------------------------
 
 // append logs one record and accounts it toward the auto-checkpoint
@@ -367,8 +422,17 @@ func (s *Store) AppendRaw(name string, p timeseries.Point) error {
 	return s.append(encodeAppendRaw(name, p))
 }
 
+// StoreView logs the view as a header record and continuation records,
+// encoded straight from rows. The catalog calls it under its write lock,
+// which every other catalog mutation and checkpoint capture also take, so
+// no other catalog record and no checkpoint rotation lands inside the
+// sequence. Only appends through a view's own handle
+// (ProbTable.AppendRows) log without that lock; they target tables
+// already in the catalog, and replay applies them in place while the new
+// view is still being assembled. A sequence can span WAL files when the
+// live file fills up; replay carries it across.
 func (s *Store) StoreView(meta storage.ViewMeta, rows []view.Row) error {
-	if err := s.append(encodeStoreView(meta, rows)); err != nil {
+	if err := encodeView(meta, rows, s.append); err != nil {
 		return err
 	}
 	s.noteStoreView(meta.Name)

@@ -28,7 +28,8 @@ type tableDump struct {
 	Times    []int64
 }
 
-// dumpDB snapshots every table's full observable state.
+// dumpDB snapshots every table's full observable state, after checking
+// every view's invariants.
 func dumpDB(t *testing.T, db *storage.DB) map[string]tableDump {
 	t.Helper()
 	out := make(map[string]tableDump)
@@ -62,6 +63,9 @@ func dumpDB(t *testing.T, db *storage.DB) map[string]tableDump {
 			rows := p.SnapshotRows()
 			if err := p.LoadErr(); err != nil {
 				t.Fatalf("view %q: %v", ti.Name, err)
+			}
+			if err := p.Check(); err != nil {
+				t.Fatal(err)
 			}
 			out[ti.Name] = tableDump{
 				Kind: "view", Meta: p.Meta(), Rows: rows,

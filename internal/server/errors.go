@@ -9,10 +9,12 @@ import (
 	"repro/internal/durable"
 	"repro/internal/probdb"
 	"repro/internal/query"
+	"repro/internal/segment"
 	"repro/internal/sigmacache"
 	"repro/internal/storage"
 	"repro/internal/timeseries"
 	"repro/internal/view"
+	"repro/internal/wal"
 )
 
 // errBadRequest marks request-shape failures originating in the server
@@ -70,11 +72,24 @@ func StatusFor(err error) int {
 		errors.Is(err, timeseries.ErrBadCSV),
 		errors.Is(err, timeseries.ErrBadWindow):
 		return http.StatusBadRequest
+	case errors.Is(err, wal.ErrTooLarge):
+		// One commit-log record holds the whole request (a table upload,
+		// an ingest batch): past the record bound it is too large to
+		// commit, whatever the engine's state.
+		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, wal.ErrClosed),
+		errors.Is(err, wal.ErrPoisoned):
+		// The commit log is shut or refuses writes until the daemon
+		// recovers it: the request may succeed after a restart.
+		return http.StatusServiceUnavailable
 	case errors.Is(err, durable.ErrBadRecord),
+		errors.Is(err, segment.ErrCorrupt),
+		errors.Is(err, storage.ErrInvariant),
 		errors.Is(err, timeseries.ErrOutOfRange):
-		// A corrupt commit-log record or an out-of-range series index is
-		// engine-side damage, not a client mistake. The explicit case keeps
-		// the sentinel mapping exhaustive (tspdblint checks it) while still
+		// A corrupt commit-log record or segment file, a view breaking
+		// its invariants, or an out-of-range series index is engine-side
+		// damage, not a client mistake. The explicit case keeps the
+		// sentinel mapping exhaustive (tspdblint checks it) while still
 		// answering 500.
 		return http.StatusInternalServerError
 	default:

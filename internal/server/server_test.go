@@ -14,9 +14,11 @@ import (
 	"repro/internal/durable"
 	"repro/internal/probdb"
 	"repro/internal/query"
+	"repro/internal/segment"
 	"repro/internal/storage"
 	"repro/internal/timeseries"
 	"repro/internal/view"
+	"repro/internal/wal"
 )
 
 // synth returns a deterministic "sensor" series of n values starting at
@@ -210,6 +212,11 @@ func TestErrorStatusMapping(t *testing.T) {
 		// Corrupt commit-log records are engine-side damage: explicitly 500
 		// (the case exists so tspdblint's sentinel coverage stays total).
 		{fmt.Errorf("wrap: %w", durable.ErrBadRecord), 500},
+		{fmt.Errorf("wrap: %w", segment.ErrCorrupt), 500},
+		{fmt.Errorf("wrap: %w", storage.ErrInvariant), 500},
+		{fmt.Errorf("wrap: %w", wal.ErrTooLarge), 413},
+		{fmt.Errorf("wrap: %w", wal.ErrClosed), 503},
+		{fmt.Errorf("wrap: %w: %v", wal.ErrPoisoned, errors.New("disk full")), 503},
 		{fmt.Errorf("wrap: %w", timeseries.ErrOutOfRange), 500},
 		{errors.New("opaque failure"), 500},
 	}

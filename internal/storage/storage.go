@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -25,6 +26,9 @@ var (
 	ErrExists    = errors.New("storage: table already exists")
 	ErrBadName   = errors.New("storage: invalid table name")
 	ErrBadSchema = errors.New("storage: invalid schema")
+	// ErrInvariant reports a view table whose rows, group index or columns
+	// break the invariants ProbTable.Check verifies.
+	ErrInvariant = errors.New("storage: view invariant violated")
 )
 
 // CommitLog receives every catalog mutation before it is applied — the
@@ -104,6 +108,13 @@ type RawTable struct {
 // float64 streams instead of 40-byte Row structs, no per-row dispatch.
 // ForEachGroupCols and RangeCols expose them under the same locking contract
 // as ForEachGroup.
+//
+// Rows is append-only once the table is shared: appends write only past
+// len(Rows), a reallocation leaves the old array untouched, and no code
+// writes to a row in place. A prefix Rows[:n:n] taken under the lock
+// therefore stays valid and unchanged after the lock is released, which
+// is what lets checkpoint capture and Save hand rows to their writers
+// without copying them.
 type ProbTable struct {
 	Name       string
 	Source     string // raw table the view was derived from
@@ -218,6 +229,9 @@ func (p *ProbTable) extendIndex() {
 		p.groups, p.indexed = nil, 0
 		p.colT, p.colLo, p.colHi, p.colProb = p.colT[:0], p.colLo[:0], p.colHi[:0], p.colProb[:0]
 	}
+	if p.indexed == 0 {
+		p.sizeIndex()
+	}
 	groupsBefore := len(p.groups)
 	for i := p.indexed; i < len(p.Rows); i++ {
 		r := &p.Rows[i]
@@ -240,6 +254,28 @@ func (p *ProbTable) extendIndex() {
 	}
 	if d := len(p.groups) - groupsBefore; d != 0 {
 		metIndexGroups.Add(float64(d))
+	}
+}
+
+// sizeIndex allocates the columns and the group index at their final size
+// before extendIndex indexes Rows from zero, so a bulk-built table's index
+// is built without regrowing a slice. Caller holds the write lock.
+func (p *ProbTable) sizeIndex() {
+	n := len(p.Rows)
+	if cap(p.colT) < n {
+		p.colT = make([]int64, 0, n)
+		p.colLo = make([]float64, 0, n)
+		p.colHi = make([]float64, 0, n)
+		p.colProb = make([]float64, 0, n)
+	}
+	groups := 0
+	for i := range p.Rows {
+		if i == 0 || p.Rows[i].T != p.Rows[i-1].T {
+			groups++
+		}
+	}
+	if cap(p.groups) < groups {
+		p.groups = make([]TimeGroup, 0, groups)
 	}
 }
 
@@ -322,22 +358,107 @@ func (p *ProbTable) LastTime() (t int64, ok bool) {
 
 // SnapshotRows returns a copy of all rows, isolated from later appends,
 // materialising a pending lazy load first. A failed load yields an empty
-// copy — callers that must distinguish use snapshotRows.
+// copy — callers that must distinguish use rowsPrefix.
 func (p *ProbTable) SnapshotRows() []view.Row {
-	out, _ := p.snapshotRows()
-	return out
+	rows, _ := p.rowsPrefix()
+	return append([]view.Row(nil), rows...)
 }
 
-func (p *ProbTable) snapshotRows() ([]view.Row, error) {
+// rowsPrefix materialises a pending lazy load and returns every current
+// row as the prefix Rows[:n:n], without copying: Rows is append-only, so
+// the prefix stays unchanged after the lock is released. Callers only
+// read it.
+func (p *ProbTable) rowsPrefix() ([]view.Row, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.extendIndex()
 	if p.loadErr != nil {
 		return nil, fmt.Errorf("view %q: %w", p.Name, p.loadErr)
 	}
-	out := make([]view.Row, len(p.Rows))
-	copy(out, p.Rows)
-	return out, nil
+	n := len(p.Rows)
+	return p.Rows[:n:n], nil
+}
+
+// logStore hands the table's rows to the commit log in place, with no
+// copy, materialising a pending lazy load and building the index first.
+// It holds the table's write lock while the log encodes the rows, so not
+// even a misused handle to an already shared table can append meanwhile.
+func (p *ProbTable) logStore(l CommitLog) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.extendIndex()
+	if p.loadErr != nil {
+		return fmt.Errorf("view %q: %w", p.Name, p.loadErr)
+	}
+	return l.StoreView(p.Meta(), p.Rows)
+}
+
+// massSlack is the rounding allowance on a tuple's probability mass.
+const massSlack = 1e-9
+
+// Check verifies the table's invariants, materialising a pending lazy load
+// first, and returns the first violation wrapped in ErrInvariant:
+//   - every Lo, Hi and Prob is finite, and Lo <= Hi;
+//   - each tuple's probability mass is at most 1 (+1e-9 for rounding);
+//   - the group index is sorted by timestamp, its groups contiguous and
+//     non-empty, covering exactly the rows of their timestamp;
+//   - the columns mirror Rows element for element;
+//   - NumRows counts exactly the rows present.
+//
+// Recovery tests run it on every view they recover.
+func (p *ProbTable) Check() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.extendIndex()
+	if p.loadErr != nil {
+		return fmt.Errorf("view %q: %w", p.Name, p.loadErr)
+	}
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: view %q: %s", ErrInvariant, p.Name, fmt.Sprintf(format, args...))
+	}
+	n := len(p.Rows)
+	if p.pending != 0 {
+		return bad("NumRows counts %d rows, %d are present", p.pending+n, n)
+	}
+	if len(p.colT) != n || len(p.colLo) != n || len(p.colHi) != n || len(p.colProb) != n {
+		return bad("columns hold %d/%d/%d/%d values for %d rows", len(p.colT), len(p.colLo), len(p.colHi), len(p.colProb), n)
+	}
+	off := 0
+	for gi, g := range p.groups {
+		if g.Off != off || g.Len <= 0 {
+			return bad("group %d spans [%d, %d), want it to start at %d and be non-empty", gi, g.Off, g.Off+g.Len, off)
+		}
+		if g.Off+g.Len > n {
+			return bad("group %d ends at row %d past the %d rows", gi, g.Off+g.Len, n)
+		}
+		if gi > 0 && g.T <= p.groups[gi-1].T {
+			return bad("group %d at t=%d does not follow t=%d", gi, g.T, p.groups[gi-1].T)
+		}
+		mass := 0.0
+		for i := g.Off; i < g.Off+g.Len; i++ {
+			r := &p.Rows[i]
+			switch {
+			case r.T != g.T:
+				return bad("row %d at t=%d inside the group of t=%d", i, r.T, g.T)
+			case math.IsNaN(r.Lo) || math.IsInf(r.Lo, 0) || math.IsNaN(r.Hi) || math.IsInf(r.Hi, 0) ||
+				math.IsNaN(r.Prob) || math.IsInf(r.Prob, 0):
+				return bad("row %d holds a non-finite value: %+v", i, *r)
+			case r.Lo > r.Hi:
+				return bad("row %d has Lo %g above Hi %g", i, r.Lo, r.Hi)
+			case p.colT[i] != r.T || p.colLo[i] != r.Lo || p.colHi[i] != r.Hi || p.colProb[i] != r.Prob:
+				return bad("columns differ from row %d", i)
+			}
+			mass += r.Prob
+		}
+		if mass > 1+massSlack {
+			return bad("tuple t=%d has probability mass %g", g.T, mass)
+		}
+		off += g.Len
+	}
+	if off != n {
+		return bad("group index covers %d of %d rows", off, n)
+	}
+	return nil
 }
 
 // groupSpan returns the index positions [lo, hi) of the groups with
@@ -779,7 +900,10 @@ func (db *DB) RawTail(name string, h int) ([]float64, error) {
 	return out, nil
 }
 
-// StoreView registers (or replaces) a probabilistic view table.
+// StoreView registers (or replaces) a probabilistic view table. On a
+// logged catalog the table's rows are logged straight from its own Rows:
+// nothing is copied, and the table is visible to readers only once the
+// whole log sequence has been appended.
 func (db *DB) StoreView(p *ProbTable) error {
 	if p == nil {
 		return fmt.Errorf("%w: nil view", ErrBadSchema)
@@ -793,11 +917,7 @@ func (db *DB) StoreView(p *ProbTable) error {
 		return fmt.Errorf("%w: %q is a raw table", ErrExists, p.Name)
 	}
 	if db.log != nil {
-		rows, err := p.snapshotRows() // materialises a lazy load; the record needs the rows
-		if err != nil {
-			return err
-		}
-		if err := db.log.StoreView(p.Meta(), rows); err != nil {
+		if err := p.logStore(db.log); err != nil {
 			return err
 		}
 	}
@@ -899,9 +1019,10 @@ type rawSnapshot struct {
 
 // Save serialises the whole catalog with gob. It is safe to call while
 // appends and reads are in flight: raw tables are copied under the catalog
-// lock and view rows under each table's lock, so every serialised table is a
-// consistent prefix of its live counterpart. The gob encoding itself runs on
-// the copies, outside any lock.
+// lock and each view's row prefix is taken under the table's lock, so every
+// serialised table is a consistent prefix of its live counterpart. The gob
+// encoding itself runs outside any lock, on the raw copies and the
+// append-only view prefixes.
 func (db *DB) Save(w io.Writer) error {
 	db.mu.RLock()
 	var snap snapshot
@@ -919,7 +1040,7 @@ func (db *DB) Save(w io.Writer) error {
 	if err == nil {
 		for _, p := range db.prob {
 			var rows []view.Row
-			rows, err = p.snapshotRows()
+			rows, err = p.rowsPrefix()
 			if err != nil {
 				break
 			}
@@ -1051,7 +1172,8 @@ type RawState struct {
 }
 
 // ViewState is a checkpoint capture of one view table: its identity and
-// the rows past the caller's durable watermark. A table whose lazy load
+// the rows past the caller's durable watermark. Rows shares the table's
+// append-only backing array; callers only read it. A table whose lazy load
 // is still pending (or failed: Err) captures From == Total and no rows —
 // everything resident is durable already.
 type ViewState struct {
@@ -1110,10 +1232,13 @@ func (db *DB) CaptureCheckpoint(rotate func() error, rawFrom, viewFrom func(name
 	return raws, views, nil
 }
 
-// captureState copies the table's suffix past from for a checkpoint.
+// captureState captures the table's suffix past from for a checkpoint. The
+// suffix is handed out as the slice Rows[from:total:total], not a copy:
+// Rows is append-only, so the segment writer can read it after the lock is
+// released.
 func (p *ProbTable) captureState(from int) ViewState {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	st := ViewState{Meta: p.Meta()}
 	if p.load != nil || p.loadErr != nil {
 		// Rows are not resident: everything the table holds is already
@@ -1130,8 +1255,6 @@ func (p *ProbTable) captureState(from int) ViewState {
 	if from > total {
 		from = total
 	}
-	rows := make([]view.Row, total-from)
-	copy(rows, p.Rows[from:])
-	st.From, st.Rows, st.Total = from, rows, total
+	st.From, st.Rows, st.Total = from, p.Rows[from:total:total], total
 	return st
 }

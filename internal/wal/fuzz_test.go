@@ -14,8 +14,9 @@ func FuzzReadRecords(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
 	var seed []byte
-	seed = wal.AppendFrame(seed, []byte("hello"))
-	seed = wal.AppendFrame(seed, []byte("world"))
+	for _, payload := range []string{"hello", "world"} {
+		seed = append(seed, wal.Frame(append(make([]byte, wal.HeaderBytes), payload...))...)
+	}
 	f.Add(seed)
 	f.Add(append(append([]byte{}, seed...), 0x05, 0x00))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -45,7 +45,6 @@ type Log struct {
 	f      File
 	seq    uint64
 	size   int64
-	buf    []byte
 	err    error // poison: first write/sync failure, sticky
 	closed bool
 }
@@ -129,14 +128,19 @@ func OpenLog(fs FS, dir string, seq uint64, opt Options) (*Log, error) {
 }
 
 // Append commits one record: frame, write, and (with Options.Fsync) sync
-// before returning. Once Append returns nil the record is recoverable —
-// that is the acknowledgement contract StepDetailed relies on. A write or
-// sync failure poisons the log: the on-disk tail is suspect, so every
-// later Append fails with ErrPoisoned until the log is reopened through
-// recovery.
-func (l *Log) Append(payload []byte) error {
-	if len(payload) > MaxRecordBytes {
-		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
+// before returning. rec is the whole record with its first HeaderBytes
+// reserved: Append writes the frame header there, in place, and hands rec
+// to the file in a single Write, so the payload is never copied. Once
+// Append returns nil the record is recoverable — that is the
+// acknowledgement contract StepDetailed relies on. A write or sync failure
+// poisons the log: the on-disk tail is suspect, so every later Append
+// fails with ErrPoisoned until the log is reopened through recovery.
+func (l *Log) Append(rec []byte) error {
+	if len(rec) < HeaderBytes {
+		return fmt.Errorf("wal: record of %d bytes has no room for its %d-byte frame header", len(rec), HeaderBytes)
+	}
+	if n := len(rec) - HeaderBytes; n > MaxRecordBytes {
+		return fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
 	}
 	start := time.Now()
 	l.mu.Lock()
@@ -153,12 +157,11 @@ func (l *Log) Append(payload []byte) error {
 			return err
 		}
 	}
-	l.buf = AppendFrame(l.buf[:0], payload)
-	if _, err := l.f.Write(l.buf); err != nil {
+	if _, err := l.f.Write(Frame(rec)); err != nil {
 		l.err = err
 		return err
 	}
-	l.size += int64(len(l.buf))
+	l.size += int64(len(rec))
 	if l.opt.Fsync {
 		syncStart := time.Now()
 		if err := l.f.Sync(); err != nil {
@@ -168,7 +171,7 @@ func (l *Log) Append(payload []byte) error {
 		obs.ObserveSince(metFsync, syncStart)
 	}
 	metRecords.Inc()
-	metBytes.Add(int64(len(l.buf)))
+	metBytes.Add(int64(len(rec)))
 	obs.ObserveSince(metAppend, start)
 	return nil
 }

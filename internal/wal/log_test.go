@@ -11,6 +11,12 @@ import (
 	"repro/internal/wal/faultfs"
 )
 
+// record returns payload as a WAL record: the frame header reserved in
+// front, as every writer lays records out for Log.Append.
+func record(payload []byte) []byte {
+	return append(make([]byte, wal.HeaderBytes, wal.HeaderBytes+len(payload)), payload...)
+}
+
 func replayAll(t *testing.T, fs wal.FS, dir string) ([][]byte, []bool) {
 	t.Helper()
 	seqs, err := wal.List(fs, dir)
@@ -45,7 +51,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		p := []byte(fmt.Sprintf("record-%03d-%s", i, bytes.Repeat([]byte{byte(i)}, i)))
 		want = append(want, p)
-		if err := log.Append(p); err != nil {
+		if err := log.Append(record(p)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,7 +71,7 @@ func TestRotationSplitsFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if err := log.Append(bytes.Repeat([]byte{byte(i)}, 32)); err != nil {
+		if err := log.Append(record(bytes.Repeat([]byte{byte(i)}, 32))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -91,7 +97,7 @@ func TestExplicitRotateBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := log.Append([]byte("before")); err != nil {
+	if err := log.Append(record([]byte("before"))); err != nil {
 		t.Fatal(err)
 	}
 	live, err := log.Rotate()
@@ -101,7 +107,7 @@ func TestExplicitRotateBoundary(t *testing.T) {
 	if live != 8 {
 		t.Fatalf("Rotate live seq = %d, want 8", live)
 	}
-	if err := log.Append([]byte("after")); err != nil {
+	if err := log.Append(record([]byte("after"))); err != nil {
 		t.Fatal(err)
 	}
 	if err := log.Close(); err != nil {
@@ -126,10 +132,10 @@ func TestTornTailTruncatedOnReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := log.Append([]byte("good-1")); err != nil {
+	if err := log.Append(record([]byte("good-1"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := log.Append([]byte("good-2")); err != nil {
+	if err := log.Append(record([]byte("good-2"))); err != nil {
 		t.Fatal(err)
 	}
 	log.Close()
@@ -173,15 +179,15 @@ func TestPoisonAfterWriteFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := log.Append([]byte("ok")); err != nil {
+	if err := log.Append(record([]byte("ok"))); err != nil {
 		t.Fatal(err)
 	}
 	fs.FailAt(fs.Ops()+1, faultfs.DropUnsynced)
-	if err := log.Append([]byte("boom")); err == nil {
+	if err := log.Append(record([]byte("boom"))); err == nil {
 		t.Fatal("append survived injected crash")
 	}
 	// Every later append refuses with ErrPoisoned — the tail is suspect.
-	if err := log.Append([]byte("later")); !errors.Is(err, wal.ErrPoisoned) {
+	if err := log.Append(record([]byte("later"))); !errors.Is(err, wal.ErrPoisoned) {
 		t.Fatalf("append after failure = %v, want ErrPoisoned", err)
 	}
 	if err := log.Sync(); !errors.Is(err, wal.ErrPoisoned) {
@@ -195,13 +201,13 @@ func TestUnsyncedTailLostWithoutFsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := log.Append([]byte("synced")); err != nil {
+	if err := log.Append(record([]byte("synced"))); err != nil {
 		t.Fatal(err)
 	}
 	if err := log.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := log.Append([]byte("cached-only")); err != nil {
+	if err := log.Append(record([]byte("cached-only"))); err != nil {
 		t.Fatal(err)
 	}
 	// Crash now: take the surviving image without closing the log.
@@ -217,12 +223,44 @@ func TestRecordSizeLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := log.Append(make([]byte, wal.MaxRecordBytes+1)); !errors.Is(err, wal.ErrTooLarge) {
+	if err := log.Append(make([]byte, wal.HeaderBytes+wal.MaxRecordBytes+1)); !errors.Is(err, wal.ErrTooLarge) {
 		t.Fatalf("oversize append = %v, want ErrTooLarge", err)
 	}
 	// The limit rejection does not poison the log.
-	if err := log.Append([]byte("fine")); err != nil {
+	if err := log.Append(record([]byte("fine"))); err != nil {
 		t.Fatalf("append after rejection: %v", err)
+	}
+}
+
+// TestAppendFramesInPlace pins the copy-free append: the frame header is
+// written into the record's reserved prefix and the record reaches the
+// file in exactly one write.
+func TestAppendFramesInPlace(t *testing.T) {
+	fs := faultfs.New()
+	log, err := wal.OpenLog(fs, "wal", 1, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := record([]byte("payload"))
+	before := fs.Ops()
+	if err := log.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if ops := fs.Ops() - before; ops != 1 {
+		t.Fatalf("append took %d filesystem ops, want one write", ops)
+	}
+	if want := wal.Frame(record([]byte("payload"))); !bytes.Equal(rec, want) {
+		t.Fatalf("record after append = %x, want framed %x", rec, want)
+	}
+	if err := log.Append([]byte("short")); err == nil {
+		t.Fatal("append of a record without room for its header succeeded")
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := replayAll(t, fs, "wal")
+	if len(got) != 1 || string(got[0]) != "payload" {
+		t.Fatalf("replayed %q, want the one payload", got)
 	}
 }
 

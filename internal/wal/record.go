@@ -18,23 +18,27 @@ import (
 // corrupt frame — which is exactly what a crash mid-append leaves behind.
 
 const (
-	frameHeader = 8
-	// MaxRecordBytes bounds a single record; a length field above it is
-	// treated as corruption rather than an allocation request. Large
-	// ingest batches stay far below this — an Omega row encodes to a few
-	// dozen bytes.
+	// HeaderBytes is the size of a record's frame header. Writers reserve
+	// it at the front of every record buffer and Log.Append fills it in
+	// place, so a record reaches the file in one Write with no staging
+	// copy.
+	HeaderBytes = 8
+	// MaxRecordBytes bounds a single record's payload; a length field
+	// above it is treated as corruption rather than an allocation request.
+	// Writers keep every record far below it: ingest batches encode to a
+	// few dozen bytes per Omega row, and a stored view is split into
+	// bounded continuation records.
 	MaxRecordBytes = 64 << 20
 )
 
-// AppendFrame appends the framed record to dst and returns the extended
-// slice. It never fails; oversized payloads are the caller's to reject
-// (Log.Append does).
-func AppendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+// Frame writes the frame header of rec into rec[:HeaderBytes], describing
+// the payload rec[HeaderBytes:], and returns rec. It never fails;
+// oversized payloads are the caller's to reject (Log.Append does).
+func Frame(rec []byte) []byte {
+	payload := rec[HeaderBytes:]
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(payload))
+	return rec
 }
 
 // ReadRecords scans framed records from r, invoking fn with each verified
@@ -48,7 +52,7 @@ func AppendFrame(dst, payload []byte) []byte {
 // artifact, not a failure. Only an fn error or a non-EOF read error is
 // returned as err.
 func ReadRecords(r io.Reader, fn func(payload []byte) error) (n int64, clean bool, err error) {
-	var hdr [frameHeader]byte
+	var hdr [HeaderBytes]byte
 	var payload []byte
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -83,6 +87,6 @@ func ReadRecords(r io.Reader, fn func(payload []byte) error) (n int64, clean boo
 				return n, false, err
 			}
 		}
-		n += frameHeader + int64(length)
+		n += HeaderBytes + int64(length)
 	}
 }
