@@ -11,11 +11,9 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 	"testing"
 
 	"repro/internal/arma"
-	"repro/internal/btree"
 	"repro/internal/clean"
 	"repro/internal/dataset"
 	"repro/internal/density"
@@ -199,46 +197,6 @@ func benchViewBuild(b *testing.B, parallelism int, cache bool) {
 	}
 }
 
-// --- Ablation: B-tree vs sorted-slice floor lookup (the sigma-cache's
-// former container; the cache now uses O(1) geometric rung addressing,
-// so this compares the standalone internal/btree against a sorted slice) -
-
-func BenchmarkBTreeFloorLookup(b *testing.B) {
-	tree, err := btree.New[int](btree.DefaultDegree)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const n = 1000
-	for i := 0; i < n; i++ {
-		tree.Insert(float64(i), i)
-	}
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := rng.Float64() * n
-		if _, _, ok := tree.Floor(q); !ok {
-			b.Fatal("miss")
-		}
-	}
-}
-
-func BenchmarkSortedSliceFloorLookup(b *testing.B) {
-	const n = 1000
-	keys := make([]float64, n)
-	for i := range keys {
-		keys[i] = float64(i)
-	}
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := rng.Float64() * n
-		idx := sort.SearchFloat64s(keys, q)
-		if idx == 0 && keys[0] > q {
-			b.Fatal("miss")
-		}
-	}
-}
-
 // --- Ablation: SVR filter, incremental identities vs naive recompute ------
 
 func dirtyWindow(n int, spikes int, seed int64) []float64 {
@@ -313,7 +271,7 @@ func BenchmarkSVRFilterNaiveRecompute(b *testing.B) {
 	}
 }
 
-// --- Ablation: AR estimation, conditional least squares vs Yule-Walker ----
+// --- AR estimation by conditional least squares (the fitter CREATE VIEW uses)
 
 func BenchmarkARFitCLS(b *testing.B) {
 	campus := dataset.Campus(dataset.CampusConfig{N: 300})
@@ -321,17 +279,6 @@ func BenchmarkARFitCLS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := arma.Fit(window, 2, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkARFitYuleWalker(b *testing.B) {
-	campus := dataset.Campus(dataset.CampusConfig{N: 300})
-	window := campus.Values()[:180]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := arma.FitYuleWalker(window, 2); err != nil {
 			b.Fatal(err)
 		}
 	}

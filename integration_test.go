@@ -92,12 +92,13 @@ func TestIntegrationCacheMatchesNaiveWithinTolerance(t *testing.T) {
 	}
 	naive := build("")
 	cached := build("CACHE DISTANCE 0.005")
-	if len(naive.Rows) != len(cached.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(naive.Rows), len(cached.Rows))
+	naiveRows, cachedRows := naive.SnapshotRows(), cached.SnapshotRows()
+	if len(naiveRows) != len(cachedRows) {
+		t.Fatalf("row counts differ: %d vs %d", len(naiveRows), len(cachedRows))
 	}
 	maxDiff := 0.0
-	for i := range naive.Rows {
-		d := math.Abs(naive.Rows[i].Prob - cached.Rows[i].Prob)
+	for i := range naiveRows {
+		d := math.Abs(naiveRows[i].Prob - cachedRows[i].Prob)
 		if d > maxDiff {
 			maxDiff = d
 		}
@@ -166,7 +167,7 @@ func TestQuickPipelineAlwaysValid(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, r := range res.View.Rows {
+		for _, r := range res.View.SnapshotRows() {
 			if r.Prob < 0 || r.Prob > 1 || math.IsNaN(r.Prob) {
 				return false
 			}

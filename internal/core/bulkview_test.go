@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/storage"
-	"repro/internal/view"
 	"repro/internal/wal"
 )
 
@@ -33,16 +32,16 @@ func viewDigest(t *testing.T, p *storage.ProbTable) (int, [sha256.Size]byte) {
 	h := sha256.New()
 	var buf [40]byte
 	n := 0
-	err := p.ForEachGroup(math.MinInt64, math.MaxInt64, func(_ int64, rows []view.Row) error {
-		for _, r := range rows {
-			binary.LittleEndian.PutUint64(buf[0:], uint64(r.T))
-			binary.LittleEndian.PutUint64(buf[8:], uint64(r.Lambda))
-			binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(r.Lo))
-			binary.LittleEndian.PutUint64(buf[24:], math.Float64bits(r.Hi))
-			binary.LittleEndian.PutUint64(buf[32:], math.Float64bits(r.Prob))
+	err := p.ForEachGroupCols(math.MinInt64, math.MaxInt64, func(g storage.GroupCols) error {
+		for i := range g.Prob {
+			binary.LittleEndian.PutUint64(buf[0:], uint64(g.T))
+			binary.LittleEndian.PutUint64(buf[8:], uint64(int64(g.Lambda[i])))
+			binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(g.Lo[i]))
+			binary.LittleEndian.PutUint64(buf[24:], math.Float64bits(g.Hi[i]))
+			binary.LittleEndian.PutUint64(buf[32:], math.Float64bits(g.Prob[i]))
 			h.Write(buf[:])
 		}
-		n += len(rows)
+		n += len(g.Prob)
 		return nil
 	})
 	if err != nil {

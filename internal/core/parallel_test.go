@@ -26,8 +26,9 @@ func TestEngineParallelismDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := make([]interface{}, len(res.View.Rows))
-		for i, r := range res.View.Rows {
+		rows := res.View.SnapshotRows()
+		out := make([]interface{}, len(rows))
+		for i, r := range rows {
 			out[i] = r
 		}
 		return out

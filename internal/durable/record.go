@@ -79,12 +79,14 @@ func strBytes(s string) int { return uvarintBytes(uint64(len(s))) + len(s) }
 
 const pointBytes = 16
 
-func rowBytes(r *view.Row) int { return 32 + varintBytes(int64(r.Lambda)) }
+// rowBytes is the encoded size of a row with the given lambda: an 8-byte
+// T, the varint lambda and three 8-byte floats.
+func rowBytes(lambda int64) int { return 32 + varintBytes(lambda) }
 
 func rowBatchBytes(rows []view.Row) int {
 	n := uvarintBytes(uint64(len(rows)))
 	for i := range rows {
-		n += rowBytes(&rows[i])
+		n += rowBytes(int64(rows[i].Lambda))
 	}
 	return n
 }
@@ -116,20 +118,35 @@ func appendPoints(dst []byte, pts []timeseries.Point) []byte {
 	return dst
 }
 
-func appendRow(dst []byte, r *view.Row) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.T))
-	dst = binary.AppendVarint(dst, int64(r.Lambda))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Lo))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Hi))
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Prob))
+func appendRow(dst []byte, t, lambda int64, lo, hi, prob float64) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(t))
+	dst = binary.AppendVarint(dst, lambda)
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(lo))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(hi))
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(prob))
 }
 
 func appendRowBatch(dst []byte, rows []view.Row) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(rows)))
 	for i := range rows {
-		dst = appendRow(dst, &rows[i])
+		r := &rows[i]
+		dst = appendRow(dst, r.T, int64(r.Lambda), r.Lo, r.Hi, r.Prob)
 	}
 	return dst
+}
+
+// appendColBatch appends rows [from, from+n) of b as a row batch. gi is
+// the index of the group holding row from; the index of the group holding
+// the batch's last row is returned, for the next batch.
+func appendColBatch(dst []byte, b *storage.Block, gi, from, n int) ([]byte, int) {
+	dst = binary.AppendUvarint(dst, uint64(n))
+	for i := from; i < from+n; i++ {
+		for b.Groups[gi].Off+b.Groups[gi].Len <= i {
+			gi++
+		}
+		dst = appendRow(dst, b.Groups[gi].T, int64(b.Lambda[i]), b.Lo[i], b.Hi[i], b.Prob[i])
+	}
+	return dst, gi
 }
 
 func encodeCreateRaw(name, timeCol, valueCol string, pts []timeseries.Point) []byte {
@@ -162,13 +179,13 @@ func appendViewMeta(dst []byte, meta storage.ViewMeta, total int) []byte {
 	return binary.AppendUvarint(dst, uint64(total))
 }
 
-// chunkRows returns how many leading rows fit in a row batch of at most
-// budget bytes — always at least one, so every record makes progress —
-// and the batch's exact encoded size.
-func chunkRows(rows []view.Row, budget int) (n, size int) {
+// chunkRows returns how many leading rows, whose lambdas are given, fit in
+// a row batch of at most budget bytes — always at least one, so every
+// record makes progress — and the batch's exact encoded size.
+func chunkRows(lambdas []int32, budget int) (n, size int) {
 	budget -= binary.MaxVarintLen64 // the batch's count prefix
-	for n < len(rows) {
-		b := rowBytes(&rows[n])
+	for n < len(lambdas) {
+		b := rowBytes(int64(lambdas[n]))
 		if n > 0 && size+b > budget {
 			break
 		}
@@ -180,19 +197,21 @@ func chunkRows(rows []view.Row, budget int) (n, size int) {
 
 // encodeView logs a stored view: a recViewBegin header (meta, total row
 // count, first rows) followed by recViewRows continuations, each record's
-// payload at most viewChunkBytes. The rows are read in place and written
-// once, into one buffer allocated once — at the exact record size for a
-// one-record view, at the record bound otherwise — and reused for every
-// record: emit must be done with a record before it returns.
-func encodeView(meta storage.ViewMeta, rows []view.Row, emit func(rec []byte) error) error {
+// payload at most viewChunkBytes. The rows are read in place from the
+// columns and written once, into one buffer allocated once — at the exact
+// record size for a one-record view, at the record bound otherwise — and
+// reused for every record: emit must be done with a record before it
+// returns.
+func encodeView(meta storage.ViewMeta, b storage.Block, emit func(rec []byte) error) error {
 	var buf []byte
-	total := len(rows)
+	total := b.Len()
 	fixed := 1 + viewMetaBytes(meta, total)
-	for first := true; first || len(rows) > 0; first = false {
-		n, size := chunkRows(rows, viewChunkBytes-fixed)
+	gi, from := 0, 0
+	for first := true; first || from < total; first = false {
+		n, size := chunkRows(b.Lambda[from:], viewChunkBytes-fixed)
 		need := wal.HeaderBytes + fixed + size
 		if cap(buf) < need {
-			if n < len(rows) {
+			if from+n < total {
 				// Continuations follow: size the buffer for the largest.
 				need = max(need, wal.HeaderBytes+viewChunkBytes)
 			}
@@ -205,11 +224,11 @@ func encodeView(meta storage.ViewMeta, rows []view.Row, emit func(rec []byte) er
 		} else {
 			rec = append(rec, recViewRows)
 		}
-		rec = appendRowBatch(rec, rows[:n])
+		rec, gi = appendColBatch(rec, &b, gi, from, n)
 		if err := emit(rec); err != nil {
 			return err
 		}
-		rows = rows[n:]
+		from += n
 		fixed = 1
 	}
 	return nil

@@ -41,8 +41,12 @@ func encodeLegacyStoreView(meta storage.ViewMeta, rows []view.Row) []byte {
 // viewRecords returns a private copy of every record encodeView emits.
 func viewRecords(t testing.TB, meta storage.ViewMeta, rows []view.Row) [][]byte {
 	t.Helper()
+	var b storage.Block
+	if err := b.AppendRows(rows); err != nil {
+		t.Fatal(err)
+	}
 	var recs [][]byte
-	if err := encodeView(meta, rows, func(rec []byte) error {
+	if err := encodeView(meta, b, func(rec []byte) error {
 		recs = append(recs, append([]byte(nil), rec...))
 		return nil
 	}); err != nil {

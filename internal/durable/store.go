@@ -3,6 +3,7 @@ package durable
 import (
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -86,7 +87,7 @@ type Store struct {
 type partialView struct {
 	meta  storage.ViewMeta
 	total int
-	rows  []view.Row
+	blk   storage.Block
 }
 
 func (s *Store) walDir() string { return filepath.Join(s.dir, "wal") }
@@ -198,7 +199,7 @@ func (s *Store) loadManifest(m *manifest) error {
 			Omega: view.Omega{Delta: v.Delta, N: v.N},
 		}
 		if v.Rows > 0 {
-			p.SetLoader(v.Rows, s.viewLoader(v.Name, v.Rows, append([]string(nil), v.Segments...)))
+			p.SetLoader(v.Rows, s.viewLoader(v.Name, append([]string(nil), v.Segments...)))
 		}
 		if err := s.db.StoreView(p); err != nil {
 			return err
@@ -209,29 +210,33 @@ func (s *Store) loadManifest(m *manifest) error {
 	return nil
 }
 
-// viewLoader materialises a view's rows from its segment files, in order.
-func (s *Store) viewLoader(name string, want int, segs []string) storage.RowsLoader {
-	return func() ([]view.Row, error) {
-		var rows []view.Row
-		for _, path := range segs {
+// viewLoader materialises a view from its segment files, in order,
+// decoding their blocks straight into the table's columns, sized once for
+// every segment. The table checks the row count against the manifest's and
+// verifies what was loaded.
+func (s *Store) viewLoader(name string, segs []string) storage.RowsLoader {
+	return func(dst *storage.Block) error {
+		readers := make([]*segment.Reader, len(segs))
+		rows, groups := 0, 0
+		for i, path := range segs {
 			rd, err := segment.Open(s.fs, path)
 			if err != nil {
-				return nil, fmt.Errorf("durable: view %q: %w", name, err)
+				return fmt.Errorf("durable: view %q: %w", name, err)
 			}
 			if rd.Kind != segment.KindView {
-				return nil, fmt.Errorf("durable: view %q: segment %s has kind %d", name, path, rd.Kind)
+				return fmt.Errorf("durable: view %q: segment %s has kind %d", name, path, rd.Kind)
 			}
-			rs, err := rd.AllViewRows()
-			if err != nil {
-				return nil, fmt.Errorf("durable: view %q: %w", name, err)
+			readers[i] = rd
+			rows += rd.NumRows()
+			groups += rd.NumGroups()
+		}
+		dst.Grow(rows, groups)
+		for _, rd := range readers {
+			if err := rd.ReadView(math.MinInt64, math.MaxInt64, dst); err != nil {
+				return fmt.Errorf("durable: view %q: %w", name, err)
 			}
-			rows = append(rows, rs...)
 		}
-		if len(rows) != want {
-			return nil, fmt.Errorf("durable: view %q: segments hold %d rows, manifest says %d",
-				name, len(rows), want)
-		}
-		return rows, nil
+		return nil
 	}
 }
 
@@ -356,37 +361,32 @@ func (s *Store) apply(payload []byte) error {
 	return nil
 }
 
-// addViewRows adds one record's rows to the view being assembled and
-// stores the view once all of its rows have arrived. The buffer grows by
-// doubling but never past the rows the records have delivered, so a
-// corrupt row count cannot force a large allocation. Runs inside Open
-// (via apply), so no lock is held.
+// addViewRows adds one record's rows to the columns of the view being
+// assembled and stores the view once all of its rows have arrived. The
+// columns grow by doubling but never past the rows the records have
+// delivered, so a corrupt row count cannot force a large allocation. Runs
+// inside Open (via apply), so no lock is held.
 func (s *Store) addViewRows(rows []view.Row) error {
 	pv := s.partial
-	n := len(pv.rows) + len(rows)
+	have := pv.blk.Len()
+	n := have + len(rows)
 	if n > pv.total {
 		return fmt.Errorf("%w: view %q holds more than its %d rows", ErrBadRecord, pv.meta.Name, pv.total)
 	}
-	if pv.rows == nil {
-		pv.rows = rows
-	} else {
-		if n > cap(pv.rows) {
-			grown := make([]view.Row, len(pv.rows), min(pv.total, max(n, 2*cap(pv.rows))))
-			copy(grown, pv.rows)
-			pv.rows = grown
-		}
-		pv.rows = append(pv.rows, rows...)
+	if n > cap(pv.blk.Lo) {
+		pv.blk.Grow(min(pv.total, max(n, 2*cap(pv.blk.Lo)))-have, 0)
+	}
+	if err := pv.blk.AppendRows(rows); err != nil {
+		return err
 	}
 	if n < pv.total {
 		return nil
 	}
 	s.partial = nil
-	m := pv.meta
-	p := &storage.ProbTable{Name: m.Name, Source: m.Source, MetricName: m.MetricName, Omega: m.Omega, Rows: pv.rows}
-	if err := s.db.StoreView(p); err != nil {
+	if err := s.db.StoreView(storage.NewProbTable(pv.meta, pv.blk)); err != nil {
 		return err
 	}
-	s.noteStoreView(m.Name)
+	s.noteStoreView(pv.meta.Name)
 	return nil
 }
 
@@ -423,7 +423,7 @@ func (s *Store) AppendRaw(name string, p timeseries.Point) error {
 }
 
 // StoreView logs the view as a header record and continuation records,
-// encoded straight from rows. The catalog calls it under its write lock,
+// encoded straight from the table's columns. The catalog calls it under its write lock,
 // which every other catalog mutation and checkpoint capture also take, so
 // no other catalog record and no checkpoint rotation lands inside the
 // sequence. Only appends through a view's own handle
@@ -431,8 +431,8 @@ func (s *Store) AppendRaw(name string, p timeseries.Point) error {
 // already in the catalog, and replay applies them in place while the new
 // view is still being assembled. A sequence can span WAL files when the
 // live file fills up; replay carries it across.
-func (s *Store) StoreView(meta storage.ViewMeta, rows []view.Row) error {
-	if err := encodeView(meta, rows, s.append); err != nil {
+func (s *Store) StoreView(meta storage.ViewMeta, b storage.Block) error {
+	if err := encodeView(meta, b, s.append); err != nil {
 		return err
 	}
 	s.noteStoreView(meta.Name)
@@ -592,16 +592,13 @@ func (s *Store) checkpointLocked() error {
 		})
 	}
 	for _, v := range views {
-		if v.Err != nil {
-			return fmt.Errorf("durable: checkpoint view %q: %w", v.Meta.Name, v.Err)
-		}
 		refs := segsAt[v.Meta.Name]
-		if len(v.Rows) > 0 {
+		if v.Suffix.Len() > 0 {
 			path := s.newSegPath(v.Meta.Name)
 			if err := segment.WriteView(s.fs, path, segment.ViewMeta{
 				Name: v.Meta.Name, Source: v.Meta.Source, MetricName: v.Meta.MetricName,
 				Delta: v.Meta.Omega.Delta, N: v.Meta.Omega.N,
-			}, v.Rows); err != nil {
+			}, v.Suffix); err != nil {
 				return err
 			}
 			refs = append(refs[:len(refs):len(refs)], path)

@@ -9,12 +9,9 @@ import (
 	"repro/internal/view"
 )
 
-// Benchmarks for the range aggregates, three generations of the same scan:
+// Benchmarks for the range aggregates, two generations of the same scan:
 //
-//	columnar — the batch kernels over the struct-of-arrays columns (public
-//	           path since PR 7)
-//	indexed  — the PR 4 row-at-a-time path (ForEachGroup + per-tuple closure),
-//	           kept as the oracle in aggregate.go
+//	columnar — the batch kernels over the table's columns (the public path)
 //	legacy   — the pre-index flat scan (full Times() walk, per-timestamp
 //	           binary search plus a row copy), reproduced inline below
 //
@@ -124,15 +121,6 @@ func BenchmarkExpectedSeries(b *testing.B) {
 		}
 		reportRowsPerSec(b)
 	})
-	b.Run("indexed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := rowExpectedSeries(p, 0, benchTuples); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportRowsPerSec(b)
-	})
 	b.Run("legacy", func(b *testing.B) {
 		rows := p.SnapshotRows()
 		b.ReportAllocs()
@@ -152,15 +140,6 @@ func BenchmarkProbSeries(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := ProbSeries(p, 0, benchTuples, 2, 6); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportRowsPerSec(b)
-	})
-	b.Run("indexed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := rowProbSeries(p, 0, benchTuples, 2, 6); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -192,15 +171,6 @@ func BenchmarkExpectedCount(b *testing.B) {
 		}
 		reportRowsPerSec(b)
 	})
-	b.Run("indexed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := rowExpectedCount(p, 0, benchTuples, 2, 6); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportRowsPerSec(b)
-	})
 }
 
 func BenchmarkRangeProbAt(b *testing.B) {
@@ -214,8 +184,8 @@ func BenchmarkRangeProbAt(b *testing.B) {
 }
 
 // TestBenchPathsIdentical pins the acceptance criterion directly: over the
-// benchmark view the columnar, indexed and legacy scans return byte-identical
-// series.
+// benchmark view the columnar kernels, the row oracle and the legacy scan
+// return byte-identical series.
 func TestBenchPathsIdentical(t *testing.T) {
 	p := benchView(t)
 	rows := p.SnapshotRows()
@@ -251,7 +221,7 @@ func TestBenchPathsIdentical(t *testing.T) {
 			t.Fatalf("index %d: columnar/legacy series diverge", i)
 		}
 		if gotE[i] != rowE[i] || gotP[i] != rowP[i] {
-			t.Fatalf("index %d: columnar/indexed series diverge", i)
+			t.Fatalf("index %d: columnar/oracle series diverge", i)
 		}
 	}
 }

@@ -10,20 +10,26 @@ import (
 )
 
 // Columnar batch kernels: the public aggregate and point-query entry points,
-// rewritten over the struct-of-arrays projection that storage.ProbTable
-// maintains next to its row slice. Each range aggregate is one
-// storage.RangeCols call — a single read-lock acquisition handing back the
-// group spans and the Lo/Hi/Prob column slices — and then a plain double
-// loop: groups outside, a branch-light column scan inside, with bounds
-// checks hoisted by reslicing and no per-row (or per-group) function-call
-// dispatch. Point helpers use the per-group form, ForEachGroupCols.
+// over the columns that are storage.ProbTable's only resident storage. Each
+// range aggregate is one storage.RangeCols call — a single read-lock
+// acquisition handing back the group spans and the Lo/Hi/Prob column
+// slices — and then a plain double loop: groups outside, a branch-light
+// column scan inside, with bounds checks hoisted by reslicing and no
+// per-row (or per-group) function-call dispatch. Point helpers use the
+// per-group form, ForEachGroupCols.
 //
-// Results are bit-identical to the row-at-a-time path in aggregate.go: the
-// kernels perform the same floating-point operations in the same order, they
-// just read operands from columns instead of 40-byte Row structs. The
+// Results are bit-identical to the row-at-a-time oracle in oracle_test.go:
+// the kernels perform the same floating-point operations in the same order,
+// they just read operands from columns instead of 40-byte Row structs. The
 // zero-width point-mass semantics of RangeProb (a row with Hi == Lo counts
 // fully iff lo < Lo <= hi) carry over unchanged. The property tests and
 // FuzzColumnarKernels pin this equivalence, including matching errors.
+
+// TimeSeriesPoint pairs a timestamp with a per-tuple scalar.
+type TimeSeriesPoint struct {
+	T     int64
+	Value float64
+}
 
 // errRange builds RangeProb's invalid-range error; shared so the columnar
 // kernels report word-for-word what the row kernels report.
@@ -317,6 +323,38 @@ func ExceedanceCountDistribution(p *storage.ProbTable, tLo, tHi int64, lo, hi fl
 	return poissonBinomialPMF(probs), nil
 }
 
+// poissonBinomialPMF runs the exact Poisson-binomial dynamic program over
+// the per-tuple probabilities. Entry k of the result is P(count = k). The
+// row oracle shares it: the DP is not a scan, so there is nothing columnar
+// about it, and sharing it keeps the cross-check focused on the scans that
+// differ.
+func poissonBinomialPMF(probs []float64) []float64 {
+	pmf := make([]float64, len(probs)+1)
+	pmf[0] = 1
+	for _, q := range probs {
+		for k := len(pmf) - 1; k >= 1; k-- {
+			pmf[k] = pmf[k]*(1-q) + pmf[k-1]*q
+		}
+		pmf[0] *= 1 - q
+	}
+	return pmf
+}
+
+// pmfTailSum sums pmf[k:], clamped to 1 against rounding drift.
+func pmfTailSum(pmf []float64, k int) float64 {
+	if k >= len(pmf) {
+		return 0
+	}
+	sum := 0.0
+	for i := k; i < len(pmf); i++ {
+		sum += pmf[i]
+	}
+	if sum > 1 {
+		sum = 1 // rounding guard
+	}
+	return sum
+}
+
 // CountAtLeast returns P(count >= k) from the Poisson-binomial distribution
 // of ExceedanceCountDistribution.
 func CountAtLeast(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, k int) (float64, error) {
@@ -347,7 +385,7 @@ func atGroupCols(p *storage.ProbTable, t int64, fn func(g storage.GroupCols) err
 	found := false
 	err := p.ForEachGroupCols(t, t, func(g storage.GroupCols) error {
 		found = true
-		noteScanGroup(len(g.Rows))
+		noteScanGroup(len(g.Prob))
 		return fn(g)
 	})
 	if err != nil {
@@ -405,15 +443,15 @@ func TopKAt(p *storage.ProbTable, t int64, k int) ([]view.Row, error) {
 			if g.Prob[ia] != g.Prob[ib] {
 				return g.Prob[ia] > g.Prob[ib]
 			}
-			return g.Rows[ia].Lambda < g.Rows[ib].Lambda
+			return g.Lambda[ia] < g.Lambda[ib]
 		})
 		m := k
 		if m > n {
 			m = n
 		}
 		out = make([]view.Row, m)
-		for i := 0; i < m; i++ {
-			out[i] = g.Rows[idx[i]]
+		for i, j := range idx[:m] {
+			out[i] = view.Row{T: g.T, Lambda: int(g.Lambda[j]), Lo: g.Lo[j], Hi: g.Hi[j], Prob: g.Prob[j]}
 		}
 		return nil
 	})

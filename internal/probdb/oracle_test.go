@@ -9,43 +9,38 @@ import (
 	"repro/internal/view"
 )
 
-// Row-at-a-time aggregate path: every consumer below walks the view's
-// timestamp group index (storage.ProbTable.ForEachGroup) and hands each
-// tuple's rows to the per-tuple []view.Row kernels through closures. This
-// was the hot path through PR 6; the columnar batch kernels in columnar.go
-// have since taken over the public names, and this file is kept as the
-// independent oracle the property and fuzz tests pin the batch kernels
-// against (byte-identical results, matching errors). It shares no inner
-// loops with the columnar path, which is what makes the cross-check
-// meaningful.
+// Row-at-a-time aggregate oracle: every consumer below reads the view
+// through its public row accessors (RowsRange, RowsAt), splits the rows
+// into tuples itself, and hands each tuple's rows to the per-tuple
+// []view.Row kernels in probdb.go through closures. The property and fuzz
+// tests pin the columnar batch kernels against it (byte-identical results,
+// matching errors). It shares no inner loops with the columnar path, which
+// is what makes the cross-check meaningful.
 
-// TimeSeriesPoint pairs a timestamp with a per-tuple scalar.
-type TimeSeriesPoint struct {
-	T     int64
-	Value float64
-}
-
-// eachTuple runs query on every tuple of the view within [tLo, tHi] in one
-// indexed pass and feeds each scalar to fn; it guards the nil view and
-// reports ErrNoRows when the range holds no tuples.
+// eachTuple runs query on every tuple of the view within [tLo, tHi], read
+// in one RowsRange call, and feeds each scalar to fn; it guards the nil
+// view and reports ErrNoRows when the range holds no tuples.
 func eachTuple(p *storage.ProbTable, tLo, tHi int64, query func(rows []view.Row) (float64, error), fn func(t int64, v float64) error) error {
 	if p == nil {
 		return fmt.Errorf("%w: nil view", ErrBadArg)
 	}
-	n := 0
-	err := p.ForEachGroup(tLo, tHi, func(t int64, rows []view.Row) error {
-		v, err := query(rows)
+	rows := p.RowsRange(tLo, tHi)
+	if len(rows) == 0 {
+		return ErrNoRows
+	}
+	for len(rows) > 0 {
+		n := 1
+		for n < len(rows) && rows[n].T == rows[0].T {
+			n++
+		}
+		v, err := query(rows[:n])
 		if err != nil {
 			return err
 		}
-		n++
-		return fn(t, v)
-	})
-	if err != nil {
-		return err
-	}
-	if n == 0 {
-		return ErrNoRows
+		if err := fn(rows[0].T, v); err != nil {
+			return err
+		}
+		rows = rows[n:]
 	}
 	return nil
 }
@@ -155,23 +150,6 @@ func rowExceedanceCountDistribution(p *storage.ProbTable, tLo, tHi int64, lo, hi
 	return poissonBinomialPMF(probs), nil
 }
 
-// poissonBinomialPMF runs the exact Poisson-binomial dynamic program over
-// the per-tuple probabilities. Entry k of the result is P(count = k). Shared
-// by the oracle and the columnar path: the DP is not a scan, so there is
-// nothing columnar about it, and sharing it keeps the cross-check focused on
-// the scans that differ.
-func poissonBinomialPMF(probs []float64) []float64 {
-	pmf := make([]float64, len(probs)+1)
-	pmf[0] = 1
-	for _, q := range probs {
-		for k := len(pmf) - 1; k >= 1; k-- {
-			pmf[k] = pmf[k]*(1-q) + pmf[k-1]*q
-		}
-		pmf[0] *= 1 - q
-	}
-	return pmf
-}
-
 // rowCountAtLeast is the row-at-a-time oracle for CountAtLeast.
 func rowCountAtLeast(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, k int) (float64, error) {
 	if k < 0 {
@@ -184,39 +162,17 @@ func rowCountAtLeast(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, k int
 	return pmfTailSum(pmf, k), nil
 }
 
-// pmfTailSum sums pmf[k:], clamped to 1 against rounding drift.
-func pmfTailSum(pmf []float64, k int) float64 {
-	if k >= len(pmf) {
-		return 0
-	}
-	sum := 0.0
-	for i := k; i < len(pmf); i++ {
-		sum += pmf[i]
-	}
-	if sum > 1 {
-		sum = 1 // rounding guard
-	}
-	return sum
-}
-
-// atGroup runs fn on the row span of timestamp t, returning ErrNoRows when
-// the view has no tuple at t.
+// atGroup runs fn on the rows of timestamp t, read with RowsAt, returning
+// ErrNoRows when the view has no tuple at t.
 func atGroup(p *storage.ProbTable, t int64, fn func(rows []view.Row) error) error {
 	if p == nil {
 		return fmt.Errorf("%w: nil view", ErrBadArg)
 	}
-	found := false
-	err := p.ForEachGroup(t, t, func(_ int64, rows []view.Row) error {
-		found = true
-		return fn(rows)
-	})
-	if err != nil {
-		return err
-	}
-	if !found {
+	rows := p.RowsAt(t)
+	if len(rows) == 0 {
 		return ErrNoRows
 	}
-	return nil
+	return fn(rows)
 }
 
 // rowRangeProbAt is the row-at-a-time oracle for RangeProbAt.

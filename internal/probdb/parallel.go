@@ -21,7 +21,7 @@ import (
 // these give the same guarantee shape as the PR 1 parallel view builder:
 // byte-identical output at any worker count.
 //
-// FusedSeries is the second half: one pass over colLo/colHi/colProb that
+// FusedSeries is the second half: one pass over the Lo/Hi/Prob columns that
 // computes any subset of {ExpectedSeries, ProbSeries, ExpectedCount}
 // simultaneously, per accumulator performing the same operations in the
 // same order as the three independent kernels — a dashboard issuing all

@@ -1,6 +1,7 @@
 package segment_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -16,7 +17,7 @@ func FuzzSegmentOpen(f *testing.F) {
 	fs := faultfs.New()
 	meta := segment.ViewMeta{Name: "pv", Source: "raw", MetricName: "m", Delta: 0.5, N: 4}
 	rows := randomRows(rand.New(rand.NewSource(1)), 12)
-	if err := segment.WriteView(fs, "seed.seg", meta, rows); err != nil {
+	if err := segment.WriteView(fs, "seed.seg", meta, blockOf(f, rows)); err != nil {
 		f.Fatal(err)
 	}
 	viewSeed, _ := fs.ReadBack("seed.seg")
@@ -39,7 +40,7 @@ func FuzzSegmentOpen(f *testing.F) {
 		}
 		switch r.Kind {
 		case segment.KindView:
-			if _, err := r.AllViewRows(); err == nil {
+			if _, err := viewRows(r, math.MinInt64, math.MaxInt64); err == nil {
 				// A fully valid decode must be internally consistent.
 				if lo, hi, ok := r.Bounds(); ok && lo > hi {
 					t.Fatalf("bounds inverted: [%d, %d]", lo, hi)

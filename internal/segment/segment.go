@@ -2,15 +2,15 @@
 // rotates into at checkpoints: time-partitioned segment files whose
 // physical layout is the TimeGroup index itself.
 //
-// A view segment stores one block per distinct timestamp (the TimeGroup
-// of storage.ProbTable), a raw segment stores fixed-size chunks of
-// points. Every file carries a binary-searchable group index in its
-// header — {T, file offset, row count} per block, sorted by T — so a
-// time-range read touches only the blocks that intersect the range.
-// The header and each block are independently CRC32-checksummed, and
-// files are sealed atomically (write temp, sync, rename), so a reader
-// either sees a complete verified segment or an open error; never a torn
-// one.
+// A view segment stores one block per distinct timestamp (a TimeGroup of
+// storage.Block, the resident layout of a view), a raw segment stores
+// fixed-size chunks of points. Every file carries a binary-searchable
+// group index in its header — {T, file offset, row count} per block,
+// sorted by T — so a time-range read touches only the blocks that
+// intersect the range. The header and each block are independently
+// CRC32-checksummed, and files are sealed atomically (write temp, sync,
+// rename), so a reader either sees a complete verified segment or an open
+// error; never a torn one.
 //
 // Layout (all integers little-endian):
 //
@@ -33,8 +33,8 @@ import (
 	"math"
 
 	"repro/internal/obs"
+	"repro/internal/storage"
 	"repro/internal/timeseries"
-	"repro/internal/view"
 	"repro/internal/wal"
 )
 
@@ -175,23 +175,10 @@ func (d *decoder) string() string {
 
 // --- writing ---
 
-// buildView serialises a complete view segment file.
-func buildView(meta ViewMeta, rows []view.Row) []byte {
-	// Group rows by timestamp (they arrive in ascending-T, lambda order —
-	// the ProbTable layout).
-	type span struct {
-		t        int64
-		off, cnt int
-	}
-	var spans []span
-	for i, r := range rows {
-		if n := len(spans); n > 0 && spans[n-1].t == r.T {
-			spans[n-1].cnt++
-		} else {
-			spans = append(spans, span{t: r.T, off: i, cnt: 1})
-		}
-	}
-	hdr := headerBytes(KindView, len(spans), func(b []byte) []byte {
+// buildView serialises a complete view segment file: one block per group
+// of b.
+func buildView(meta ViewMeta, b storage.Block) []byte {
+	hdr := headerBytes(KindView, len(b.Groups), func(b []byte) []byte {
 		b = appendString(b, meta.Name)
 		b = appendString(b, meta.Source)
 		b = appendString(b, meta.MetricName)
@@ -201,24 +188,24 @@ func buildView(meta ViewMeta, rows []view.Row) []byte {
 	})
 	// Block offsets are known once the header size is: blocks follow it
 	// back to back.
-	buf := make([]byte, 0, hdr+len(rows)*viewRowBytes+len(spans)*4)
+	buf := make([]byte, 0, hdr+b.Len()*viewRowBytes+len(b.Groups)*4)
 	buf = appendViewHeader(buf, meta)
-	buf = appendUint32(buf, uint32(len(spans)))
+	buf = appendUint32(buf, uint32(len(b.Groups)))
 	off := uint64(hdr)
-	for _, sp := range spans {
-		buf = appendUint64(buf, uint64(sp.t))
+	for _, g := range b.Groups {
+		buf = appendUint64(buf, uint64(g.T))
 		buf = appendUint64(buf, off)
-		buf = appendUint32(buf, uint32(sp.cnt))
-		off += uint64(sp.cnt*viewRowBytes) + 4
+		buf = appendUint32(buf, uint32(g.Len))
+		off += uint64(g.Len*viewRowBytes) + 4
 	}
 	buf = appendUint32(buf, crc32.ChecksumIEEE(buf))
-	for _, sp := range spans {
+	for _, g := range b.Groups {
 		start := len(buf)
-		for _, r := range rows[sp.off : sp.off+sp.cnt] {
-			buf = appendUint32(buf, uint32(int32(r.Lambda)))
-			buf = appendFloat(buf, r.Lo)
-			buf = appendFloat(buf, r.Hi)
-			buf = appendFloat(buf, r.Prob)
+		for i := g.Off; i < g.Off+g.Len; i++ {
+			buf = appendUint32(buf, uint32(b.Lambda[i]))
+			buf = appendFloat(buf, b.Lo[i])
+			buf = appendFloat(buf, b.Hi[i])
+			buf = appendFloat(buf, b.Prob[i])
 		}
 		buf = appendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 	}
@@ -316,10 +303,10 @@ func seal(fs wal.FS, path string, data []byte) error {
 	return nil
 }
 
-// WriteView seals a view segment at path. Rows must be in the ProbTable
-// physical order: ascending timestamp, contiguous groups.
-func WriteView(fs wal.FS, path string, meta ViewMeta, rows []view.Row) error {
-	return seal(fs, path, buildView(meta, rows))
+// WriteView seals a view segment at path holding the rows of b, one block
+// per group.
+func WriteView(fs wal.FS, path string, meta ViewMeta, b storage.Block) error {
+	return seal(fs, path, buildView(meta, b))
 }
 
 // WriteRaw seals a raw segment at path. Points must be in ascending
@@ -330,10 +317,10 @@ func WriteRaw(fs wal.FS, path string, meta RawMeta, pts []timeseries.Point) erro
 
 // --- reading ---
 
-// Reader is an opened segment: verified header and group index in
-// memory, blocks read (and CRC-verified) on demand.
+// Reader is an opened segment: the file's bytes in memory with a verified
+// header and group index; blocks are CRC-verified when they are read.
 type Reader struct {
-	fs   wal.FS
+	data []byte
 	path string
 
 	Kind Kind
@@ -358,7 +345,7 @@ func Open(fs wal.FS, path string) (*Reader, error) {
 	}
 	metOpened.Inc()
 	metBytesRead.Add(int64(len(data)))
-	return openBytes(fs, path, data)
+	return openBytes(path, data)
 }
 
 // readAll drains a ReadFile without assuming a Size method.
@@ -377,12 +364,12 @@ func readAll(f wal.ReadFile) ([]byte, error) {
 	}
 }
 
-func openBytes(fs wal.FS, path string, data []byte) (*Reader, error) {
+func openBytes(path string, data []byte) (*Reader, error) {
 	d := &decoder{b: data}
 	if m := d.bytes(4); m == nil || string(m) != string(magic[:]) {
 		return nil, fmt.Errorf("%w: bad magic in %s", ErrCorrupt, path)
 	}
-	r := &Reader{fs: fs, path: path, Kind: Kind(d.uint8())}
+	r := &Reader{data: data, path: path, Kind: Kind(d.uint8())}
 	switch r.Kind {
 	case KindView:
 		r.View.Name = d.string()
@@ -447,12 +434,10 @@ func (r *Reader) Bounds() (lo, hi int64, ok bool) {
 	return r.groups[0].T, r.groups[len(r.groups)-1].T, true
 }
 
-// readBlock fetches and CRC-verifies one block's payload.
-func (r *Reader) readBlock(f wal.ReadFile, g Group, rowBytes int) ([]byte, error) {
-	buf := make([]byte, int(g.Count)*rowBytes+4)
-	if _, err := f.ReadAt(buf, int64(g.Off)); err != nil {
-		return nil, fmt.Errorf("%w: short block at %d in %s", ErrCorrupt, g.Off, r.path)
-	}
+// readBlock CRC-verifies one block and returns its payload. Open checked
+// that every block lies inside the file.
+func (r *Reader) readBlock(g Group, rowBytes int) ([]byte, error) {
+	buf := r.data[g.Off : g.Off+uint64(g.Count)*uint64(rowBytes)+4]
 	payload := buf[:len(buf)-4]
 	want := binary.LittleEndian.Uint32(buf[len(buf)-4:])
 	if crc32.ChecksumIEEE(payload) != want {
@@ -497,50 +482,26 @@ func (r *Reader) searchGroups(tLo, tHi int64) (int, int) {
 	return lo, hi
 }
 
-// ViewRows returns the Omega rows with timestamp in [tLo, tHi], in the
-// segment's physical order. Only intersecting blocks are read.
-func (r *Reader) ViewRows(tLo, tHi int64) ([]view.Row, error) {
+// ReadView appends the Omega rows with timestamp in [tLo, tHi] to dst, in
+// the segment's physical order, decoding each block straight into the
+// columns. Only intersecting blocks are read. On error dst may hold part
+// of the range.
+func (r *Reader) ReadView(tLo, tHi int64, dst *storage.Block) error {
 	if r.Kind != KindView {
-		return nil, fmt.Errorf("%w: ViewRows on kind %d", ErrCorrupt, r.Kind)
+		return fmt.Errorf("%w: ReadView on kind %d", ErrCorrupt, r.Kind)
 	}
 	lo, hi := r.searchGroups(tLo, tHi)
-	if lo >= hi {
-		return nil, nil
-	}
-	f, err := r.fs.Open(r.path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var out []view.Row
 	for _, g := range r.groups[lo:hi] {
-		payload, err := r.readBlock(f, g, viewRowBytes)
+		payload, err := r.readBlock(g, viewRowBytes)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		d := &decoder{b: payload}
 		for i := 0; i < int(g.Count); i++ {
-			out = append(out, view.Row{
-				T:      g.T,
-				Lambda: int(int32(d.uint32())),
-				Lo:     d.float(),
-				Hi:     d.float(),
-				Prob:   d.float(),
-			})
-		}
-		if d.err {
-			return nil, fmt.Errorf("%w: block decode at t=%d in %s", ErrCorrupt, g.T, r.path)
+			dst.Append(g.T, int32(d.uint32()), d.float(), d.float(), d.float())
 		}
 	}
-	return out, nil
-}
-
-// AllViewRows returns every Omega row in the segment.
-func (r *Reader) AllViewRows() ([]view.Row, error) {
-	if len(r.groups) == 0 {
-		return nil, nil
-	}
-	return r.ViewRows(r.groups[0].T, r.groups[len(r.groups)-1].T)
+	return nil
 }
 
 // Points returns the raw points with timestamp in [tLo, tHi].
@@ -549,17 +510,9 @@ func (r *Reader) Points(tLo, tHi int64) ([]timeseries.Point, error) {
 		return nil, fmt.Errorf("%w: Points on kind %d", ErrCorrupt, r.Kind)
 	}
 	lo, hi := r.searchGroups(tLo, tHi)
-	if lo >= hi {
-		return nil, nil
-	}
-	f, err := r.fs.Open(r.path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
 	var out []timeseries.Point
 	for _, g := range r.groups[lo:hi] {
-		payload, err := r.readBlock(f, g, rawPointBytes)
+		payload, err := r.readBlock(g, rawPointBytes)
 		if err != nil {
 			return nil, err
 		}

@@ -2,11 +2,13 @@ package segment_test
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/segment"
+	"repro/internal/storage"
 	"repro/internal/timeseries"
 	"repro/internal/view"
 	"repro/internal/wal/faultfs"
@@ -28,13 +30,39 @@ func randomRows(rng *rand.Rand, tuples int) []view.Row {
 	return rows
 }
 
+// blockOf returns rows in the column layout WriteView takes.
+func blockOf(tb testing.TB, rows []view.Row) storage.Block {
+	tb.Helper()
+	var b storage.Block
+	if err := b.AppendRows(rows); err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// viewRows reads the rows with timestamp in [tLo, tHi] back as view.Row
+// values, nil when there are none.
+func viewRows(r *segment.Reader, tLo, tHi int64) ([]view.Row, error) {
+	var b storage.Block
+	if err := r.ReadView(tLo, tHi, &b); err != nil || b.Len() == 0 {
+		return nil, err
+	}
+	var out []view.Row
+	for _, g := range b.Groups {
+		for i := g.Off; i < g.Off+g.Len; i++ {
+			out = append(out, view.Row{T: g.T, Lambda: int(b.Lambda[i]), Lo: b.Lo[i], Hi: b.Hi[i], Prob: b.Prob[i]})
+		}
+	}
+	return out, nil
+}
+
 func TestViewSegmentRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	fs := faultfs.New()
 	meta := segment.ViewMeta{Name: "pv", Source: "raw", MetricName: "armagarch(1,0)", Delta: 0.5, N: 8}
 	for trial := 0; trial < 25; trial++ {
 		rows := randomRows(rng, rng.Intn(60))
-		if err := segment.WriteView(fs, "seg/pv.seg", meta, rows); err != nil {
+		if err := segment.WriteView(fs, "seg/pv.seg", meta, blockOf(t, rows)); err != nil {
 			t.Fatal(err)
 		}
 		r, err := segment.Open(fs, "seg/pv.seg")
@@ -47,7 +75,7 @@ func TestViewSegmentRoundTrip(t *testing.T) {
 		if r.NumRows() != len(rows) {
 			t.Fatalf("NumRows = %d, want %d", r.NumRows(), len(rows))
 		}
-		got, err := r.AllViewRows()
+		got, err := viewRows(r, math.MinInt64, math.MaxInt64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +99,7 @@ func TestViewSegmentRoundTrip(t *testing.T) {
 					want = append(want, row)
 				}
 			}
-			got, err := r.ViewRows(lo, hi)
+			got, err := viewRows(r, lo, hi)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +161,7 @@ func TestCorruptionDetected(t *testing.T) {
 	fs := faultfs.New()
 	meta := segment.ViewMeta{Name: "pv", Delta: 1, N: 2}
 	rows := randomRows(rand.New(rand.NewSource(13)), 30)
-	if err := segment.WriteView(fs, "pv.seg", meta, rows); err != nil {
+	if err := segment.WriteView(fs, "pv.seg", meta, blockOf(t, rows)); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := fs.ReadBack("pv.seg")
@@ -150,7 +178,7 @@ func TestCorruptionDetected(t *testing.T) {
 			}
 			continue
 		}
-		if _, err := r.AllViewRows(); err != nil && !errors.Is(err, segment.ErrCorrupt) {
+		if _, err := viewRows(r, math.MinInt64, math.MaxInt64); err != nil && !errors.Is(err, segment.ErrCorrupt) {
 			t.Fatalf("pos %d: read error %v, want ErrCorrupt", pos, err)
 		}
 	}
@@ -160,7 +188,7 @@ func TestTruncationDetected(t *testing.T) {
 	fs := faultfs.New()
 	meta := segment.ViewMeta{Name: "pv", Delta: 1, N: 2}
 	rows := randomRows(rand.New(rand.NewSource(14)), 20)
-	if err := segment.WriteView(fs, "pv.seg", meta, rows); err != nil {
+	if err := segment.WriteView(fs, "pv.seg", meta, blockOf(t, rows)); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := fs.ReadBack("pv.seg")
@@ -170,7 +198,7 @@ func TestTruncationDetected(t *testing.T) {
 		if err != nil {
 			continue // header refused: fine
 		}
-		if _, err := r.AllViewRows(); err == nil && cut < len(data) {
+		if _, err := viewRows(r, math.MinInt64, math.MaxInt64); err == nil && cut < len(data) {
 			t.Fatalf("cut at %d bytes read back without error", cut)
 		}
 	}
@@ -181,14 +209,14 @@ func TestSealLeavesNoTempOnFailure(t *testing.T) {
 	meta := segment.ViewMeta{Name: "pv", Delta: 1, N: 2}
 	rows := randomRows(rand.New(rand.NewSource(15)), 10)
 	// Find how many fs ops a seal takes, then fail at each one.
-	if err := segment.WriteView(fs, "probe.seg", meta, rows); err != nil {
+	if err := segment.WriteView(fs, "probe.seg", meta, blockOf(t, rows)); err != nil {
 		t.Fatal(err)
 	}
 	total := fs.Ops()
 	for k := 1; k <= total; k++ {
 		ffs := faultfs.New()
 		ffs.FailAt(k, faultfs.DropUnsynced)
-		err := segment.WriteView(ffs, "pv.seg", meta, rows)
+		err := segment.WriteView(ffs, "pv.seg", meta, blockOf(t, rows))
 		if err == nil {
 			t.Fatalf("seal with fault at op %d succeeded", k)
 		}
@@ -200,14 +228,14 @@ func TestSealLeavesNoTempOnFailure(t *testing.T) {
 	// One op past the total: no fault fires, the seal must succeed.
 	ffs := faultfs.New()
 	ffs.FailAt(total+1, faultfs.DropUnsynced)
-	if err := segment.WriteView(ffs, "pv.seg", meta, rows); err != nil {
+	if err := segment.WriteView(ffs, "pv.seg", meta, blockOf(t, rows)); err != nil {
 		t.Fatal(err)
 	}
 	r, err := segment.Open(ffs.CrashImage(), "pv.seg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.AllViewRows()
+	got, err := viewRows(r, math.MinInt64, math.MaxInt64)
 	if err != nil || !reflect.DeepEqual(got, rows) {
 		t.Fatalf("sealed segment unreadable: %v", err)
 	}

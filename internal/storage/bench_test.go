@@ -7,8 +7,8 @@ import (
 )
 
 // Storage-layer kernels under the CI bench gate: the cost of maintaining
-// the group index + columnar projection during online appends, and the raw
-// scan throughput of the row iterator vs the columnar iterators.
+// the group index and the columns during online appends, and the raw scan
+// throughput of the two column iterators.
 
 const (
 	benchTuples = 25000
@@ -56,28 +56,9 @@ func BenchmarkAppendRowsIndexed(b *testing.B) {
 	}
 }
 
-// BenchmarkScanGroupsRows / BenchmarkScanGroupsCols measure pure scan
-// throughput over the 200k-row table: summing one field through the row
-// iterator vs the per-group columns vs the bulk RangeCols form.
-func BenchmarkScanGroupsRows(b *testing.B) {
-	p := benchTable(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sum := 0.0
-		err := p.ForEachGroup(0, benchTuples, func(_ int64, rows []view.Row) error {
-			for j := range rows {
-				sum += rows[j].Prob
-			}
-			return nil
-		})
-		if err != nil || sum == 0 {
-			b.Fatalf("scan: sum=%v err=%v", sum, err)
-		}
-	}
-	reportScanRate(b)
-}
-
+// BenchmarkScanGroupsCols / BenchmarkScanRangeCols measure pure scan
+// throughput over the 200k-row table: summing one column through the
+// per-group columns vs the bulk RangeCols form.
 func BenchmarkScanGroupsCols(b *testing.B) {
 	p := benchTable(b)
 	b.ReportAllocs()

@@ -32,8 +32,8 @@ func (l *recLog) CreateRaw(name, timeCol, valueCol string, pts []timeseries.Poin
 func (l *recLog) AppendRaw(name string, p timeseries.Point) error {
 	return l.op("append-raw %s t=%d", name, p.T)
 }
-func (l *recLog) StoreView(meta ViewMeta, rows []view.Row) error {
-	return l.op("store-view %s src=%s n=%d", meta.Name, meta.Source, len(rows))
+func (l *recLog) StoreView(meta ViewMeta, b Block) error {
+	return l.op("store-view %s src=%s n=%d", meta.Name, meta.Source, b.Len())
 }
 func (l *recLog) AppendRows(view string, prior int, rows []view.Row) error {
 	return l.op("append-rows %s prior=%d n=%d", view, prior, len(rows))
@@ -230,9 +230,9 @@ func TestLoadRelogsSnapshot(t *testing.T) {
 func TestLazyLoaderMaterialises(t *testing.T) {
 	p := &ProbTable{Name: "pv"}
 	calls := 0
-	p.SetLoader(3, func() ([]view.Row, error) {
+	p.SetLoader(3, func(dst *Block) error {
 		calls++
-		return []view.Row{{T: 1, Lambda: 0}, {T: 1, Lambda: 1}, {T: 4, Lambda: 0}}, nil
+		return dst.AppendRows([]view.Row{{T: 1, Lambda: 0}, {T: 1, Lambda: 1}, {T: 4, Lambda: 0}})
 	})
 	if n := p.NumRows(); n != 3 || calls != 0 {
 		t.Fatalf("NumRows = %d (loader calls %d), want 3 rows without loading", n, calls)
@@ -252,7 +252,7 @@ func TestLazyLoaderMaterialises(t *testing.T) {
 
 	bad := &ProbTable{Name: "pv2"}
 	boom := errors.New("segment corrupt")
-	bad.SetLoader(7, func() ([]view.Row, error) { return nil, boom })
+	bad.SetLoader(7, func(*Block) error { return boom })
 	if got := bad.Times(); got != nil {
 		t.Fatalf("Times on failed load = %v", got)
 	}
@@ -262,10 +262,56 @@ func TestLazyLoaderMaterialises(t *testing.T) {
 	if err := bad.LoadErr(); !errors.Is(err, boom) {
 		t.Fatalf("LoadErr = %v", err)
 	}
-	if err := bad.ForEachGroup(0, 100, func(int64, []view.Row) error { return nil }); !errors.Is(err, boom) {
-		t.Fatalf("ForEachGroup = %v", err)
+	if err := bad.RangeCols(0, 100, func([]TimeGroup, Cols) error { return nil }); !errors.Is(err, boom) {
+		t.Fatalf("RangeCols = %v", err)
 	}
 	if err := bad.AppendRows([]view.Row{{T: 1}}); !errors.Is(err, boom) {
 		t.Fatalf("AppendRows = %v", err)
+	}
+}
+
+// TestLambdaOutsideInt32Rejected pins the int32 Lambda column: a row whose
+// lambda the column would truncate is rejected with ErrBadSchema by every
+// path that fills a table, before anything is logged, and the table is
+// left unchanged.
+func TestLambdaOutsideInt32Rejected(t *testing.T) {
+	wide := []view.Row{{T: 3, Lambda: 1 << 40, Lo: 0, Hi: 1, Prob: 0.5}}
+	db := NewDB()
+	log := &recLog{}
+	db.SetCommitLog(log)
+	if _, err := db.CreateRawTable("raw", "", "", mustSeries(t, timeseries.Point{T: 1, V: 2})); err != nil {
+		t.Fatal(err)
+	}
+	p := &ProbTable{Name: "pv", Source: "raw"}
+	if err := db.StoreView(p); err != nil {
+		t.Fatal(err)
+	}
+	log.ops = nil
+
+	if err := p.AppendRows(wide); !errors.Is(err, ErrBadSchema) {
+		t.Fatalf("AppendRows = %v, want ErrBadSchema", err)
+	}
+	if err := db.CommitStep("raw", timeseries.Point{T: 3, V: 1}, p, wide); !errors.Is(err, ErrBadSchema) {
+		t.Fatalf("CommitStep = %v, want ErrBadSchema", err)
+	}
+	bulk := &ProbTable{Name: "bulk", Rows: append([]view.Row{{T: 1, Lambda: 0, Hi: 1, Prob: 1}}, wide...)}
+	if err := db.StoreView(bulk); !errors.Is(err, ErrBadSchema) {
+		t.Fatalf("StoreView = %v, want ErrBadSchema", err)
+	}
+	if len(log.ops) != 0 {
+		t.Fatalf("rejected rows reached the log: %q", log.ops)
+	}
+	if n, _ := db.RawLen("raw"); n != 1 || p.NumRows() != 0 {
+		t.Fatalf("rejected step changed the tables: raw %d points, view %d rows", n, p.NumRows())
+	}
+	if _, err := db.View("bulk"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("rejected view was stored: %v", err)
+	}
+	narrow := []view.Row{{T: 3, Lambda: -(1 << 31), Lo: 0, Hi: 1, Prob: 0.5}, {T: 3, Lambda: 1<<31 - 1, Lo: 1, Hi: 2, Prob: 0.5}}
+	if err := p.AppendRows(narrow); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.RowsAt(3); !reflect.DeepEqual(got, narrow) {
+		t.Fatalf("int32 extremes round-trip as %+v", got)
 	}
 }

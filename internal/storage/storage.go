@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -41,8 +40,10 @@ type CommitLog interface {
 	CreateRaw(name, timeCol, valueCol string, pts []timeseries.Point) error
 	// AppendRaw records one appended raw point.
 	AppendRaw(name string, p timeseries.Point) error
-	// StoreView records the registration (or wholesale replacement) of a view.
-	StoreView(meta ViewMeta, rows []view.Row) error
+	// StoreView records the registration (or wholesale replacement) of a
+	// view with the rows in b. b is the table's own storage: the log only
+	// reads it, and only during the call.
+	StoreView(meta ViewMeta, b Block) error
 	// AppendRows records a batch of rows appended to a view. prior is the
 	// table's row count just before the append: appends are strictly
 	// ordered per table, so a replayer compares prior against the
@@ -67,10 +68,10 @@ type ViewMeta struct {
 	Omega      view.Omega
 }
 
-// RowsLoader materialises a lazily-loaded view's rows (e.g. from a
-// segment file). It is called at most once, under the table lock, by the
-// first accessor that needs the rows.
-type RowsLoader func() ([]view.Row, error)
+// RowsLoader materialises a lazily-loaded view (e.g. from segment files):
+// it appends the view's rows, in order, to dst. It is called at most
+// once, under the table lock, by the first accessor that needs the rows.
+type RowsLoader func(dst *Block) error
 
 // RawTable is a raw-value time-series table with named time and value
 // columns (e.g. <time, r> per Fig. 2).
@@ -85,61 +86,39 @@ type RawTable struct {
 // probabilistic database of Definition 2.
 //
 // A view that backs an online stream grows while readers scan it, so every
-// access to Rows after the table is stored in a catalog must go through the
-// accessor methods, which serialise on a per-table lock. Readers always see
-// a consistent prefix of the appended rows; appends never block readers of
+// access after the table is stored in a catalog goes through the accessor
+// methods, which serialise on a per-table lock. Readers always see a
+// consistent prefix of the appended rows; appends never block readers of
 // other tables.
 //
-// Physical layout: Rows is one flat slice in ascending-timestamp order, with
-// all rows of a timestamp (one per Omega range, in lambda order) stored
-// contiguously. Alongside it the table maintains a timestamp group index —
-// one TimeGroup{T, Off, Len} per distinct timestamp — kept current
-// incrementally by AppendRows and built lazily for tables whose Rows were
-// assigned directly (offline builds, gob decode, tests). Point and range
-// accessors binary-search the index (O(log T) in the number of tuples, not
-// rows) and the ForEachGroup iterator walks it in one pass, handing out
-// zero-copy row spans.
+// Physical layout: the rows live only in a Block — a timestamp group index
+// (one TimeGroup{T, Off, Len} per distinct timestamp, ascending) over an
+// int32 Lambda column and float64 Lo, Hi and Prob columns, all rows of a
+// timestamp contiguous in lambda order. Point and range accessors
+// binary-search the group index (O(log T) in the number of tuples, not
+// rows); the batch kernels in internal/probdb scan the columns through
+// ForEachGroupCols and RangeCols; the row accessors build view.Row values
+// from the columns on the way out.
 //
-// The table also maintains a columnar (struct-of-arrays) projection of Rows:
-// parallel slices colT/colLo/colHi/colProb with colLo[i] == Rows[i].Lo and so
-// on. The columns are maintained in lockstep with the group index — extended
-// incrementally on append, rebuilt whenever the index is rebuilt — and are
-// what the batch aggregate kernels in internal/probdb scan: three contiguous
-// float64 streams instead of 40-byte Row structs, no per-row dispatch.
-// ForEachGroupCols and RangeCols expose them under the same locking contract
-// as ForEachGroup.
-//
-// Rows is append-only once the table is shared: appends write only past
-// len(Rows), a reallocation leaves the old array untouched, and no code
-// writes to a row in place. A prefix Rows[:n:n] taken under the lock
-// therefore stays valid and unchanged after the lock is released, which
-// is what lets checkpoint capture and Save hand rows to their writers
-// without copying them.
+// The columns are append-only once the table is shared: appends write only
+// past their length, a reallocation leaves the old arrays untouched, and no
+// code writes a value in place. A prefix taken under the lock therefore
+// stays valid after the lock is released, which is what lets checkpoint
+// capture and Save hand columns to their writers without copying them.
 type ProbTable struct {
 	Name       string
 	Source     string // raw table the view was derived from
 	MetricName string // dynamic density metric used
 	Omega      view.Omega
-	Rows       []view.Row
 
-	mu sync.RWMutex // guards Rows + index once the table is shared (gob ignores it)
+	mu sync.RWMutex // gob ignores it
 
-	// groups is the timestamp group index over Rows[:indexed]; indexed lags
-	// len(Rows) only when Rows was assigned directly, and the first accessor
-	// to notice catches the index up under the write lock. head remembers
-	// the indexed backing array's first element so a wholesale replacement
-	// of Rows (not just growth) is detected and triggers a rebuild instead
-	// of silently serving stale offsets.
-	groups  []TimeGroup
-	indexed int
-	head    *view.Row
+	// Rows is construction input only: a table built with Rows set keeps
+	// them there until StoreView or its first access moves them into blk
+	// and sets Rows to nil. Gob Save and Load carry the rows in this field.
+	Rows []view.Row
 
-	// Columnar projection of Rows[:indexed], maintained in lockstep with
-	// groups by extendIndex: colT[i], colLo[i], colHi[i], colProb[i] mirror
-	// Rows[i]. The batch kernels scan these instead of the row structs.
-	colT         []int64
-	colLo, colHi []float64
-	colProb      []float64
+	blk Block
 
 	// logger, when set, receives every append before it is applied.
 	// Attached while the table sits in a logged catalog, detached on Drop.
@@ -147,11 +126,18 @@ type ProbTable struct {
 
 	// load defers materialisation of segment-backed rows: until the first
 	// access that needs them, the table only knows it has pending rows.
-	// A failed load is sticky in loadErr; pending keeps reporting the
-	// durable row count so the table does not appear to have shrunk.
+	// A failed or rejected load is sticky in loadErr; pending keeps
+	// reporting the durable row count so the table does not appear to have
+	// shrunk.
 	load    RowsLoader
 	pending int
 	loadErr error
+}
+
+// NewProbTable returns a view table holding b's rows. The table takes b
+// over: the caller must not use it afterwards.
+func NewProbTable(meta ViewMeta, b Block) *ProbTable {
+	return &ProbTable{Name: meta.Name, Source: meta.Source, MetricName: meta.MetricName, Omega: meta.Omega, blk: b}
 }
 
 // Meta returns the view's identity (everything but the rows). The fields
@@ -169,14 +155,13 @@ func (p *ProbTable) SetLoader(n int, load RowsLoader) {
 	p.load = load
 	p.pending = n
 	p.loadErr = nil
-	metIndexGroups.Add(-float64(len(p.groups)))
-	p.groups, p.indexed, p.head = nil, 0, nil
-	p.colT, p.colLo, p.colHi, p.colProb = nil, nil, nil, nil
+	metIndexGroups.Add(-float64(len(p.blk.Groups)))
+	p.blk, p.Rows = Block{}, nil
 }
 
 // LoadErr reports a failed lazy materialisation. Accessors on a table in
-// this state return empty results; appends and ForEachGroup surface the
-// error.
+// this state return empty results; appends and the column scans surface
+// the error.
 func (p *ProbTable) LoadErr() error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -189,105 +174,61 @@ func (p *ProbTable) setLogger(l CommitLog) {
 	p.mu.Unlock()
 }
 
-// TimeGroup locates the rows of one timestamp inside the flat row slice:
-// Rows[Off : Off+Len] are exactly the rows with timestamp T, in lambda order.
-type TimeGroup struct {
-	T        int64
-	Off, Len int
+// stale reports whether rows wait outside the columns: a lazy load is
+// pending or construction-input Rows are set. Caller holds the lock
+// (read or write).
+func (p *ProbTable) stale() bool {
+	return p.loadErr == nil && (p.load != nil || len(p.Rows) > 0)
 }
 
-// indexStale reports whether the group index lags Rows: a lazy load is
-// pending, rows were appended, or Rows was shrunk or replaced wholesale
-// (different backing array). Caller holds the lock (read or write).
-func (p *ProbTable) indexStale() bool {
-	return p.load != nil || p.indexed != len(p.Rows) || (p.indexed > 0 && p.head != &p.Rows[0])
-}
-
-// extendIndex catches the group index and the columnar projection up with
-// Rows. Caller holds the write lock. Appends are incremental: only rows past
-// the indexed watermark are visited, so maintaining index and columns during
-// online ingest is O(batch); a shrink or a backing-array change (growth
-// realloc or wholesale replacement) triggers a full rebuild — the same
-// linear cost the reallocation itself just paid.
-func (p *ProbTable) extendIndex() {
+// materialiseLocked moves every row into the columns: it runs a pending
+// lazy load exactly once, verifying what it loaded, and moves
+// construction-input Rows into the columns. A failure is sticky in loadErr
+// and returned. Caller holds the write lock.
+func (p *ProbTable) materialiseLocked() error {
 	if load := p.load; load != nil {
-		// Materialise the pending lazy load exactly once; a failure is
-		// sticky and leaves pending in place so the row count holds.
 		p.load = nil
-		rows, err := load()
+		metIndexLazyLoads.Inc()
+		err := load(&p.blk)
+		if err == nil && p.blk.Len() != p.pending {
+			err = fmt.Errorf("%w: loaded %d rows, %d expected", ErrInvariant, p.blk.Len(), p.pending)
+		}
+		if err == nil {
+			err = p.blk.verify()
+		}
 		if err != nil {
+			p.loadErr, p.blk = err, Block{}
+		} else {
+			p.pending = 0
+			metIndexGroups.Add(float64(len(p.blk.Groups)))
+		}
+	}
+	if len(p.Rows) > 0 && p.loadErr == nil {
+		if err := checkLambdas(p.Rows); err != nil {
 			p.loadErr = err
 		} else {
-			p.Rows = append(rows, p.Rows...)
-			p.pending = 0
-		}
-		metIndexLazyLoads.Inc()
-	}
-	if p.indexed > len(p.Rows) || (p.indexed > 0 && p.head != &p.Rows[0]) {
-		metIndexGroups.Add(-float64(len(p.groups)))
-		metIndexRebuilds.Inc()
-		p.groups, p.indexed = nil, 0
-		p.colT, p.colLo, p.colHi, p.colProb = p.colT[:0], p.colLo[:0], p.colHi[:0], p.colProb[:0]
-	}
-	if p.indexed == 0 {
-		p.sizeIndex()
-	}
-	groupsBefore := len(p.groups)
-	for i := p.indexed; i < len(p.Rows); i++ {
-		r := &p.Rows[i]
-		t := r.T
-		p.colT = append(p.colT, t)
-		p.colLo = append(p.colLo, r.Lo)
-		p.colHi = append(p.colHi, r.Hi)
-		p.colProb = append(p.colProb, r.Prob)
-		if n := len(p.groups); n > 0 && p.groups[n-1].T == t {
-			p.groups[n-1].Len++
-		} else {
-			p.groups = append(p.groups, TimeGroup{T: t, Off: i, Len: 1})
+			groups := len(p.blk.Groups)
+			p.blk.Grow(len(p.Rows), countGroups(p.Rows))
+			p.blk.appendRows(p.Rows)
+			p.Rows = nil
+			metIndexGroups.Add(float64(len(p.blk.Groups) - groups))
 		}
 	}
-	p.indexed = len(p.Rows)
-	if len(p.Rows) > 0 {
-		p.head = &p.Rows[0]
-	} else {
-		p.head = nil
+	if p.loadErr != nil {
+		return fmt.Errorf("view %q: %w", p.Name, p.loadErr)
 	}
-	if d := len(p.groups) - groupsBefore; d != 0 {
-		metIndexGroups.Add(float64(d))
-	}
+	return nil
 }
 
-// sizeIndex allocates the columns and the group index at their final size
-// before extendIndex indexes Rows from zero, so a bulk-built table's index
-// is built without regrowing a slice. Caller holds the write lock.
-func (p *ProbTable) sizeIndex() {
-	n := len(p.Rows)
-	if cap(p.colT) < n {
-		p.colT = make([]int64, 0, n)
-		p.colLo = make([]float64, 0, n)
-		p.colHi = make([]float64, 0, n)
-		p.colProb = make([]float64, 0, n)
-	}
-	groups := 0
-	for i := range p.Rows {
-		if i == 0 || p.Rows[i].T != p.Rows[i-1].T {
-			groups++
-		}
-	}
-	if cap(p.groups) < groups {
-		p.groups = make([]TimeGroup, 0, groups)
-	}
-}
-
-// rlockIndexed takes the read lock with the group index guaranteed current,
-// upgrading to the write lock first when Rows was assigned directly (e.g. by
-// an offline build or a snapshot load). Callers must release with mu.RUnlock.
+// rlockIndexed takes the read lock with every row in the columns,
+// upgrading to the write lock first to materialise a pending load or
+// construction-input Rows. Callers must release with mu.RUnlock.
 func (p *ProbTable) rlockIndexed() {
 	p.mu.RLock()
-	for p.indexStale() {
+	for p.stale() {
 		p.mu.RUnlock()
 		p.mu.Lock()
-		p.extendIndex()
+		p.materialiseLocked()
 		p.mu.Unlock()
 		p.mu.RLock()
 	}
@@ -296,37 +237,43 @@ func (p *ProbTable) rlockIndexed() {
 // AppendRows extends the materialised view (online-mode incremental
 // generation). Rows must continue the ascending-timestamp order. When the
 // table sits in a logged catalog the batch is logged before it is applied;
-// a logging failure leaves the table unchanged.
+// a logging failure or a rejected row leaves the table unchanged.
 func (p *ProbTable) AppendRows(rows []view.Row) error {
 	if len(rows) == 0 {
 		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.appendLocked(rows, true)
-}
-
-// appendLocked logs (optionally) and applies one row batch. Caller holds
-// the write lock.
-func (p *ProbTable) appendLocked(rows []view.Row, logIt bool) error {
-	p.extendIndex() // materialise a pending lazy load; catch up direct assignment
-	if p.loadErr != nil {
-		return fmt.Errorf("view %q: %w", p.Name, p.loadErr)
+	if err := p.admitLocked(rows); err != nil {
+		return err
 	}
-	if logIt && p.logger != nil {
-		if err := p.logger.AppendRows(p.Name, len(p.Rows), rows); err != nil {
+	if p.logger != nil {
+		if err := p.logger.AppendRows(p.Name, p.blk.Len(), rows); err != nil {
 			return err
 		}
 	}
-	p.Rows = append(p.Rows, rows...)
-	// The append preserves the indexed prefix even when it reallocates the
-	// backing array, so refresh the identity watermark before extending:
-	// otherwise the realloc would look like a wholesale Rows replacement and
-	// trigger a full rebuild under the write lock.
-	p.head = &p.Rows[0]
-	p.extendIndex()
-	metRowsAppended.Add(int64(len(rows)))
+	p.applyLocked(rows)
 	return nil
+}
+
+// admitLocked readies the table for an append of rows and rejects a batch
+// the columns cannot hold, before anything is logged. Caller holds the
+// write lock.
+func (p *ProbTable) admitLocked(rows []view.Row) error {
+	if err := p.materialiseLocked(); err != nil {
+		return err
+	}
+	return checkLambdas(rows)
+}
+
+// applyLocked appends an admitted batch. Caller holds the write lock.
+func (p *ProbTable) applyLocked(rows []view.Row) {
+	groups := len(p.blk.Groups)
+	p.blk.appendRows(rows)
+	if d := len(p.blk.Groups) - groups; d != 0 {
+		metIndexGroups.Add(float64(d))
+	}
+	metRowsAppended.Add(int64(len(rows)))
 }
 
 // NumRows returns the current row count. Rows pending behind a lazy
@@ -335,14 +282,14 @@ func (p *ProbTable) appendLocked(rows []view.Row, logIt bool) error {
 func (p *ProbTable) NumRows() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return p.pending + len(p.Rows)
+	return p.pending + p.blk.Len() + len(p.Rows)
 }
 
 // NumTimes returns the current count of distinct timestamps (tuples).
 func (p *ProbTable) NumTimes() int {
 	p.rlockIndexed()
 	defer p.mu.RUnlock()
-	return len(p.groups)
+	return len(p.blk.Groups)
 }
 
 // LastTime returns the view's most recent timestamp, or ok=false for an
@@ -350,113 +297,69 @@ func (p *ProbTable) NumTimes() int {
 func (p *ProbTable) LastTime() (t int64, ok bool) {
 	p.rlockIndexed()
 	defer p.mu.RUnlock()
-	if len(p.groups) == 0 {
+	if len(p.blk.Groups) == 0 {
 		return 0, false
 	}
-	return p.groups[len(p.groups)-1].T, true
+	return p.blk.Groups[len(p.blk.Groups)-1].T, true
 }
 
 // SnapshotRows returns a copy of all rows, isolated from later appends,
-// materialising a pending lazy load first. A failed load yields an empty
-// copy — callers that must distinguish use rowsPrefix.
+// materialising a pending lazy load first. A failed load yields no rows.
 func (p *ProbTable) SnapshotRows() []view.Row {
-	rows, _ := p.rowsPrefix()
-	return append([]view.Row(nil), rows...)
+	p.rlockIndexed()
+	defer p.mu.RUnlock()
+	if p.blk.Len() == 0 {
+		return nil
+	}
+	return p.blk.rows(p.blk.Groups)
 }
 
-// rowsPrefix materialises a pending lazy load and returns every current
-// row as the prefix Rows[:n:n], without copying: Rows is append-only, so
-// the prefix stays unchanged after the lock is released. Callers only
-// read it.
-func (p *ProbTable) rowsPrefix() ([]view.Row, error) {
+// resident materialises the table and returns all of its rows as a Block
+// that shares the columns (see Block.suffix). Callers only read it.
+func (p *ProbTable) resident() (Block, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.extendIndex()
-	if p.loadErr != nil {
-		return nil, fmt.Errorf("view %q: %w", p.Name, p.loadErr)
+	if err := p.materialiseLocked(); err != nil {
+		return Block{}, err
 	}
-	n := len(p.Rows)
-	return p.Rows[:n:n], nil
+	return p.blk.suffix(0), nil
 }
 
-// logStore hands the table's rows to the commit log in place, with no
-// copy, materialising a pending lazy load and building the index first.
-// It holds the table's write lock while the log encodes the rows, so not
-// even a misused handle to an already shared table can append meanwhile.
+// logStore materialises the table and, when l is set, hands its columns
+// to the commit log in place, with no copy. It holds the table's write
+// lock while the log encodes them, so not even a misused handle to an
+// already shared table can append meanwhile. Without a log, a table whose
+// lazy load is pending stays lazy: recovery stores segment-backed views
+// that way.
 func (p *ProbTable) logStore(l CommitLog) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.extendIndex()
-	if p.loadErr != nil {
-		return fmt.Errorf("view %q: %w", p.Name, p.loadErr)
+	if l == nil && p.load != nil {
+		return nil
 	}
-	return l.StoreView(p.Meta(), p.Rows)
+	if err := p.materialiseLocked(); err != nil || l == nil {
+		return err
+	}
+	return l.StoreView(p.Meta(), p.blk)
 }
 
-// massSlack is the rounding allowance on a tuple's probability mass.
-const massSlack = 1e-9
-
 // Check verifies the table's invariants, materialising a pending lazy load
-// first, and returns the first violation wrapped in ErrInvariant:
-//   - every Lo, Hi and Prob is finite, and Lo <= Hi;
-//   - each tuple's probability mass is at most 1 (+1e-9 for rounding);
-//   - the group index is sorted by timestamp, its groups contiguous and
-//     non-empty, covering exactly the rows of their timestamp;
-//   - the columns mirror Rows element for element;
-//   - NumRows counts exactly the rows present.
-//
-// Recovery tests run it on every view they recover.
+// first, and returns the first violation wrapped in ErrInvariant: those of
+// Block.verify, and NumRows counting exactly the rows present. Recovery
+// tests run it on every view they recover; a segment-loaded view is
+// verified on its first load anyway.
 func (p *ProbTable) Check() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.extendIndex()
-	if p.loadErr != nil {
-		return fmt.Errorf("view %q: %w", p.Name, p.loadErr)
+	if err := p.materialiseLocked(); err != nil {
+		return err
 	}
-	bad := func(format string, args ...any) error {
-		return fmt.Errorf("%w: view %q: %s", ErrInvariant, p.Name, fmt.Sprintf(format, args...))
+	err := p.blk.verify()
+	if err == nil && p.pending != 0 {
+		err = fmt.Errorf("%w: NumRows counts %d rows, %d are present", ErrInvariant, p.pending+p.blk.Len(), p.blk.Len())
 	}
-	n := len(p.Rows)
-	if p.pending != 0 {
-		return bad("NumRows counts %d rows, %d are present", p.pending+n, n)
-	}
-	if len(p.colT) != n || len(p.colLo) != n || len(p.colHi) != n || len(p.colProb) != n {
-		return bad("columns hold %d/%d/%d/%d values for %d rows", len(p.colT), len(p.colLo), len(p.colHi), len(p.colProb), n)
-	}
-	off := 0
-	for gi, g := range p.groups {
-		if g.Off != off || g.Len <= 0 {
-			return bad("group %d spans [%d, %d), want it to start at %d and be non-empty", gi, g.Off, g.Off+g.Len, off)
-		}
-		if g.Off+g.Len > n {
-			return bad("group %d ends at row %d past the %d rows", gi, g.Off+g.Len, n)
-		}
-		if gi > 0 && g.T <= p.groups[gi-1].T {
-			return bad("group %d at t=%d does not follow t=%d", gi, g.T, p.groups[gi-1].T)
-		}
-		mass := 0.0
-		for i := g.Off; i < g.Off+g.Len; i++ {
-			r := &p.Rows[i]
-			switch {
-			case r.T != g.T:
-				return bad("row %d at t=%d inside the group of t=%d", i, r.T, g.T)
-			case math.IsNaN(r.Lo) || math.IsInf(r.Lo, 0) || math.IsNaN(r.Hi) || math.IsInf(r.Hi, 0) ||
-				math.IsNaN(r.Prob) || math.IsInf(r.Prob, 0):
-				return bad("row %d holds a non-finite value: %+v", i, *r)
-			case r.Lo > r.Hi:
-				return bad("row %d has Lo %g above Hi %g", i, r.Lo, r.Hi)
-			case p.colT[i] != r.T || p.colLo[i] != r.Lo || p.colHi[i] != r.Hi || p.colProb[i] != r.Prob:
-				return bad("columns differ from row %d", i)
-			}
-			mass += r.Prob
-		}
-		if mass > 1+massSlack {
-			return bad("tuple t=%d has probability mass %g", g.T, mass)
-		}
-		off += g.Len
-	}
-	if off != n {
-		return bad("group index covers %d of %d rows", off, n)
+	if err != nil {
+		return fmt.Errorf("view %q: %w", p.Name, err)
 	}
 	return nil
 }
@@ -466,8 +369,9 @@ func (p *ProbTable) Check() error {
 // span, never hi < lo — callers slice groups[lo:hi] directly. Caller holds
 // the lock (read or write).
 func (p *ProbTable) groupSpan(tLo, tHi int64) (lo, hi int) {
-	lo = sort.Search(len(p.groups), func(i int) bool { return p.groups[i].T >= tLo })
-	hi = sort.Search(len(p.groups), func(i int) bool { return p.groups[i].T > tHi })
+	groups := p.blk.Groups
+	lo = sort.Search(len(groups), func(i int) bool { return groups[i].T >= tLo })
+	hi = sort.Search(len(groups), func(i int) bool { return groups[i].T > tHi })
 	if hi < lo {
 		hi = lo
 	}
@@ -479,13 +383,7 @@ func (p *ProbTable) RowsRange(tLo, tHi int64) []view.Row {
 	p.rlockIndexed()
 	defer p.mu.RUnlock()
 	lo, hi := p.groupSpan(tLo, tHi)
-	if lo >= hi {
-		return []view.Row{}
-	}
-	first, last := p.groups[lo], p.groups[hi-1]
-	out := make([]view.Row, last.Off+last.Len-first.Off)
-	copy(out, p.Rows[first.Off:last.Off+last.Len])
-	return out
+	return p.blk.rows(p.blk.Groups[lo:hi])
 }
 
 // RowsAt returns the view rows for timestamp t in lambda order.
@@ -496,21 +394,18 @@ func (p *ProbTable) RowsAt(t int64) []view.Row {
 	if lo >= hi {
 		return nil
 	}
-	g := p.groups[lo]
-	out := make([]view.Row, g.Len)
-	copy(out, p.Rows[g.Off:g.Off+g.Len])
-	return out
+	return p.blk.rows(p.blk.Groups[lo:hi])
 }
 
 // Times returns the distinct timestamps present in the view, ascending.
 func (p *ProbTable) Times() []int64 {
 	p.rlockIndexed()
 	defer p.mu.RUnlock()
-	if len(p.groups) == 0 {
+	if len(p.blk.Groups) == 0 {
 		return nil
 	}
-	out := make([]int64, len(p.groups))
-	for i, g := range p.groups {
+	out := make([]int64, len(p.blk.Groups))
+	for i, g := range p.blk.Groups {
 		out[i] = g.T
 	}
 	return out
@@ -523,11 +418,7 @@ func (p *ProbTable) RangeSize(tLo, tHi int64) (groups, rows int) {
 	p.rlockIndexed()
 	defer p.mu.RUnlock()
 	lo, hi := p.groupSpan(tLo, tHi)
-	if lo >= hi {
-		return 0, 0
-	}
-	first, last := p.groups[lo], p.groups[hi-1]
-	return hi - lo, last.Off + last.Len - first.Off
+	return hi - lo, SpanRows(p.blk.Groups[lo:hi])
 }
 
 // GroupsRange returns a copy of the group index entries with timestamp in
@@ -537,58 +428,24 @@ func (p *ProbTable) GroupsRange(tLo, tHi int64) []TimeGroup {
 	defer p.mu.RUnlock()
 	lo, hi := p.groupSpan(tLo, tHi)
 	out := make([]TimeGroup, hi-lo)
-	copy(out, p.groups[lo:hi])
+	copy(out, p.blk.Groups[lo:hi])
 	return out
 }
 
-// ForEachGroup calls fn once per distinct timestamp in [tLo, tHi], ascending,
-// passing the timestamp's rows as a zero-copy span of the table's backing
-// array. The whole range is visited in one indexed pass under a single read
-// lock: no per-timestamp search, no row copies.
-//
-// The span is valid only for the duration of the call — fn must not retain or
-// mutate it, and must not call back into the table (the lock is held). A
-// non-nil error from fn stops the iteration and is returned.
-func (p *ProbTable) ForEachGroup(tLo, tHi int64, fn func(t int64, rows []view.Row) error) error {
-	p.rlockIndexed()
-	defer p.mu.RUnlock()
-	if p.loadErr != nil {
-		return fmt.Errorf("view %q: %w", p.Name, p.loadErr)
-	}
-	lo, hi := p.groupSpan(tLo, tHi)
-	for _, g := range p.groups[lo:hi] {
-		if err := fn(g.T, p.Rows[g.Off:g.Off+g.Len:g.Off+g.Len]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// GroupCols is the columnar (struct-of-arrays) projection of one timestamp's
-// rows: Lo[i], Hi[i], Prob[i] describe the tuple's i-th Omega range, in the
-// same order as the row layout. Rows is the identical span in row form, for
-// consumers that also need per-row identity (Lambda). All slices are
-// zero-copy views of the table's backing arrays.
+// GroupCols is one timestamp's rows in columns: Lambda[i], Lo[i], Hi[i],
+// Prob[i] describe the tuple's i-th Omega range, in lambda order. All
+// slices are zero-copy views of the table's columns.
 type GroupCols struct {
-	T            int64
-	Lo, Hi, Prob []float64
-	Rows         []view.Row
+	T int64
+	Cols
 }
 
-// Cols is the whole-table columnar projection handed to RangeCols: parallel
-// slices over every row of the table, addressed through TimeGroup spans
-// (Lo[g.Off : g.Off+g.Len] are the lows of group g, and so on).
-type Cols struct {
-	T            []int64
-	Lo, Hi, Prob []float64
-	Rows         []view.Row
-}
-
-// ForEachGroupCols is ForEachGroup in columnar form: fn is called once per
-// distinct timestamp in [tLo, tHi], ascending, with the timestamp's rows as
-// struct-of-arrays column slices. Same contract as ForEachGroup: one indexed
-// pass under a single read lock, spans valid only for the duration of the
-// call, no callbacks into the table.
+// ForEachGroupCols calls fn once per distinct timestamp in [tLo, tHi],
+// ascending, with the timestamp's rows as column slices. The whole range
+// is visited in one indexed pass under a single read lock. The slices are
+// valid only for the duration of the call — fn must not retain or mutate
+// them, and must not call back into the table (the lock is held). A
+// non-nil error from fn stops the iteration and is returned.
 func (p *ProbTable) ForEachGroupCols(tLo, tHi int64, fn func(g GroupCols) error) error {
 	p.rlockIndexed()
 	defer p.mu.RUnlock()
@@ -596,15 +453,15 @@ func (p *ProbTable) ForEachGroupCols(tLo, tHi int64, fn func(g GroupCols) error)
 		return fmt.Errorf("view %q: %w", p.Name, p.loadErr)
 	}
 	lo, hi := p.groupSpan(tLo, tHi)
-	for _, g := range p.groups[lo:hi] {
+	c := &p.blk.Cols
+	for _, g := range p.blk.Groups[lo:hi] {
 		end := g.Off + g.Len
-		gc := GroupCols{
-			T:    g.T,
-			Lo:   p.colLo[g.Off:end:end],
-			Hi:   p.colHi[g.Off:end:end],
-			Prob: p.colProb[g.Off:end:end],
-			Rows: p.Rows[g.Off:end:end],
-		}
+		gc := GroupCols{T: g.T, Cols: Cols{
+			Lambda: c.Lambda[g.Off:end:end],
+			Lo:     c.Lo[g.Off:end:end],
+			Hi:     c.Hi[g.Off:end:end],
+			Prob:   c.Prob[g.Off:end:end],
+		}}
 		if err := fn(gc); err != nil {
 			return err
 		}
@@ -625,13 +482,7 @@ func (p *ProbTable) RangeCols(tLo, tHi int64, fn func(groups []TimeGroup, c Cols
 		return fmt.Errorf("view %q: %w", p.Name, p.loadErr)
 	}
 	lo, hi := p.groupSpan(tLo, tHi)
-	return fn(p.groups[lo:hi], Cols{
-		T:    p.colT,
-		Lo:   p.colLo,
-		Hi:   p.colHi,
-		Prob: p.colProb,
-		Rows: p.Rows,
-	})
+	return fn(p.blk.Groups[lo:hi], p.blk.Cols)
 }
 
 // DB is the catalog.
@@ -799,9 +650,8 @@ func (db *DB) CommitStep(source string, pt timeseries.Point, table *ProbTable, r
 	}
 	table.mu.Lock()
 	defer table.mu.Unlock()
-	table.extendIndex() // surface a failed lazy load before logging anything
-	if table.loadErr != nil {
-		return fmt.Errorf("view %q: %w", table.Name, table.loadErr)
+	if err := table.admitLocked(rows); err != nil {
+		return err
 	}
 	if db.log != nil {
 		if err := db.log.Step(source, pt, table.Name, rows); err != nil {
@@ -812,10 +662,8 @@ func (db *DB) CommitStep(source string, pt timeseries.Point, table *ProbTable, r
 		return err
 	}
 	metRawAppends.Inc()
-	if len(rows) == 0 {
-		return nil
-	}
-	return table.appendLocked(rows, false)
+	table.applyLocked(rows)
+	return nil
 }
 
 // LastRawTime returns the timestamp of a raw table's most recent point —
@@ -900,10 +748,11 @@ func (db *DB) RawTail(name string, h int) ([]float64, error) {
 	return out, nil
 }
 
-// StoreView registers (or replaces) a probabilistic view table. On a
-// logged catalog the table's rows are logged straight from its own Rows:
-// nothing is copied, and the table is visible to readers only once the
-// whole log sequence has been appended.
+// StoreView registers (or replaces) a probabilistic view table, moving
+// construction-input Rows into the columns first; a lambda outside int32
+// is rejected with ErrBadSchema. On a logged catalog the rows are logged
+// straight from the table's columns: nothing is copied, and the table is
+// visible to readers only once the whole log sequence has been appended.
 func (db *DB) StoreView(p *ProbTable) error {
 	if p == nil {
 		return fmt.Errorf("%w: nil view", ErrBadSchema)
@@ -916,10 +765,8 @@ func (db *DB) StoreView(p *ProbTable) error {
 	if _, dup := db.raw[p.Name]; dup {
 		return fmt.Errorf("%w: %q is a raw table", ErrExists, p.Name)
 	}
-	if db.log != nil {
-		if err := p.logStore(db.log); err != nil {
-			return err
-		}
+	if err := p.logStore(db.log); err != nil {
+		return err
 	}
 	p.setLogger(db.log)
 	db.prob[p.Name] = p
@@ -1017,15 +864,17 @@ type rawSnapshot struct {
 	Points   []timeseries.Point
 }
 
-// Save serialises the whole catalog with gob. It is safe to call while
-// appends and reads are in flight: raw tables are copied under the catalog
-// lock and each view's row prefix is taken under the table's lock, so every
-// serialised table is a consistent prefix of its live counterpart. The gob
-// encoding itself runs outside any lock, on the raw copies and the
-// append-only view prefixes.
+// Save serialises the whole catalog with gob, each view as a table whose
+// Rows carry all of its rows. It is safe to call while appends and reads
+// are in flight: raw tables are copied under the catalog lock and each
+// view's column prefix is taken under the table's lock, so every
+// serialised table is a consistent prefix of its live counterpart. The
+// view rows are built from those prefixes, and gob-encoded, outside any
+// lock.
 func (db *DB) Save(w io.Writer) error {
 	db.mu.RLock()
 	var snap snapshot
+	var blocks []Block
 	var err error
 	for _, t := range db.raw {
 		var pts []timeseries.Point
@@ -1039,8 +888,8 @@ func (db *DB) Save(w io.Writer) error {
 	}
 	if err == nil {
 		for _, p := range db.prob {
-			var rows []view.Row
-			rows, err = p.rowsPrefix()
+			var b Block
+			b, err = p.resident()
 			if err != nil {
 				break
 			}
@@ -1049,13 +898,16 @@ func (db *DB) Save(w io.Writer) error {
 				Source:     p.Source,
 				MetricName: p.MetricName,
 				Omega:      p.Omega,
-				Rows:       rows,
 			})
+			blocks = append(blocks, b)
 		}
 	}
 	db.mu.RUnlock()
 	if err != nil {
 		return err
+	}
+	for i, p := range snap.Prob {
+		p.Rows = blocks[i].rows(blocks[i].Groups)
 	}
 	return gob.NewEncoder(w).Encode(&snap)
 }
@@ -1111,6 +963,8 @@ func (db *DB) LoadFile(path string) error {
 }
 
 // Load replaces the catalog contents with a snapshot produced by Save.
+// Each view's rows move into its columns before anything is logged; a
+// lambda outside int32 rejects the whole snapshot with ErrBadSchema.
 // On a logged catalog the whole replacement is re-logged (a Reset record
 // followed by the loaded tables), so tables restored from a gob snapshot
 // are as durable — and their later appends as logged — as tables built in
@@ -1129,8 +983,13 @@ func (db *DB) Load(r io.Reader) error {
 		}
 		raw[rs.Name] = &RawTable{Name: rs.Name, TimeCol: rs.TimeCol, ValueCol: rs.ValueCol, Series: s}
 	}
+	// The decoded tables are not shared yet: no table lock is needed to
+	// materialise them, log them, or set their loggers.
 	prob := make(map[string]*ProbTable, len(snap.Prob))
 	for _, p := range snap.Prob {
+		if err := p.materialiseLocked(); err != nil {
+			return err
+		}
 		prob[p.Name] = p
 	}
 	db.mu.Lock()
@@ -1145,13 +1004,11 @@ func (db *DB) Load(r io.Reader) error {
 			}
 		}
 		for _, p := range snap.Prob {
-			if err := db.log.StoreView(p.Meta(), p.Rows); err != nil {
+			if err := db.log.StoreView(p.Meta(), p.blk); err != nil {
 				return err
 			}
 		}
 	}
-	// The decoded tables are not shared yet, so the loggers can be set
-	// without taking their locks.
 	for _, p := range prob {
 		p.logger = db.log
 	}
@@ -1172,16 +1029,15 @@ type RawState struct {
 }
 
 // ViewState is a checkpoint capture of one view table: its identity and
-// the rows past the caller's durable watermark. Rows shares the table's
-// append-only backing array; callers only read it. A table whose lazy load
-// is still pending (or failed: Err) captures From == Total and no rows —
-// everything resident is durable already.
+// the rows past the caller's durable watermark. Suffix shares the table's
+// append-only columns (see Block.suffix); callers only read it. A table
+// whose lazy load is still pending, or failed, captures From == Total and
+// no rows: everything it holds is durable in segments already.
 type ViewState struct {
-	Meta  ViewMeta
-	From  int // rows already durable in segments
-	Rows  []view.Row
-	Total int
-	Err   error
+	Meta   ViewMeta
+	From   int // rows already durable in segments
+	Suffix Block
+	Total  int
 }
 
 // CaptureCheckpoint is the atomic snapshot step of a checkpoint: under
@@ -1232,10 +1088,9 @@ func (db *DB) CaptureCheckpoint(rotate func() error, rawFrom, viewFrom func(name
 	return raws, views, nil
 }
 
-// captureState captures the table's suffix past from for a checkpoint. The
-// suffix is handed out as the slice Rows[from:total:total], not a copy:
-// Rows is append-only, so the segment writer can read it after the lock is
-// released.
+// captureState captures the table's suffix past from for a checkpoint,
+// sharing the columns rather than copying them, so the segment writer can
+// read them after the lock is released.
 func (p *ProbTable) captureState(from int) ViewState {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -1245,16 +1100,10 @@ func (p *ProbTable) captureState(from int) ViewState {
 		// durable in segments, so there is nothing new to flush.
 		st.Total = p.pending
 		st.From = st.Total
-		st.Err = p.loadErr
 		return st
 	}
-	total := len(p.Rows)
-	if from < 0 {
-		from = 0
-	}
-	if from > total {
-		from = total
-	}
-	st.From, st.Rows, st.Total = from, p.Rows[from:total:total], total
+	total := p.blk.Len()
+	from = min(max(from, 0), total)
+	st.From, st.Suffix, st.Total = from, p.blk.suffix(from), total
 	return st
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"math"
 	"sync"
@@ -122,8 +123,8 @@ func TestStoreAndFetchView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.MetricName != "ARMA-GARCH" || len(got.Rows) != 4 {
-		t.Errorf("view = %+v", got)
+	if got.MetricName != "ARMA-GARCH" || got.NumRows() != 4 {
+		t.Errorf("view %q: metric %q, %d rows", got.Name, got.MetricName, got.NumRows())
 	}
 	if _, err := db.View("missing"); !errors.Is(err, ErrNotFound) {
 		t.Error("missing view found")
@@ -234,8 +235,61 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pv.Rows) != 4 || pv.Omega.Delta != 1 {
-		t.Errorf("restored view = %+v", pv)
+	if pv.NumRows() != 4 || pv.Omega.Delta != 1 {
+		t.Errorf("restored view: %d rows, omega %+v", pv.NumRows(), pv.Omega)
+	}
+}
+
+// TestLoadParentWireShape pins gob compatibility: a catalog encoded by a
+// writer whose view tables are plain structs carrying their rows in Rows
+// (the shape Save has always written) still loads, and serves every row
+// bit for bit.
+func TestLoadParentWireShape(t *testing.T) {
+	type wireView struct {
+		Name       string
+		Source     string
+		MetricName string
+		Omega      view.Omega
+		Rows       []view.Row
+	}
+	type wireSnapshot struct {
+		Raw  []rawSnapshot
+		Prob []*wireView
+	}
+	rows := []view.Row{
+		{T: -7, Lambda: -(1 << 31), Lo: -5e-324, Hi: 5e-324, Prob: 0.1},
+		{T: -7, Lambda: 3, Lo: 1.0000000000000002, Hi: math.MaxFloat64, Prob: 0.3},
+		{T: 1 << 40, Lambda: 1<<31 - 1, Lo: -2.5, Hi: -2.5, Prob: 1},
+	}
+	src := wireSnapshot{
+		Raw:  []rawSnapshot{{Name: "raw", TimeCol: "t", ValueCol: "r", Points: []timeseries.Point{{T: 1, V: 2}}}},
+		Prob: []*wireView{{Name: "pv", Source: "raw", MetricName: "m", Omega: view.Omega{Delta: 0.5, N: 3}, Rows: rows}},
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&src); err != nil {
+		t.Fatal(err)
+	}
+	db := NewDB()
+	if err := db.Load(&buf); err != nil {
+		t.Fatal(err)
+	}
+	pv, err := db.View("pv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pv.Meta() != (ViewMeta{Name: "pv", Source: "raw", MetricName: "m", Omega: view.Omega{Delta: 0.5, N: 3}}) {
+		t.Fatalf("meta = %+v", pv.Meta())
+	}
+	got := pv.SnapshotRows()
+	if len(got) != len(rows) {
+		t.Fatalf("%d rows, want %d", len(got), len(rows))
+	}
+	for i, r := range rows {
+		g := got[i]
+		if g.T != r.T || g.Lambda != r.Lambda || math.Float64bits(g.Lo) != math.Float64bits(r.Lo) ||
+			math.Float64bits(g.Hi) != math.Float64bits(r.Hi) || math.Float64bits(g.Prob) != math.Float64bits(r.Prob) {
+			t.Fatalf("row %d = %+v, want %+v", i, g, r)
+		}
 	}
 }
 
